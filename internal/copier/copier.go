@@ -27,27 +27,24 @@ const maxReissues = 12
 const reissueShiftCap = 6
 
 // Copier is one board's block-copy engine. Create with New.
+//
+// The copier is one long-lived simulated process per board: the first
+// Start spawns it, and between transfers it parks on a signal that
+// later Starts pulse. Close retires it once the run is over.
 type Copier struct {
 	eng     *sim.Engine
 	bus     bus.Interconnect
 	boardID int
 
+	proc   *sim.Process
+	kick   sim.Signal
+	tx     bus.Transaction
 	busy   bool
 	done   sim.Signal
 	result bus.Result
 
 	ctr  copierCounters
 	sink *obs.Sink
-}
-
-// Stats counts copier activity.
-type Stats struct {
-	Transfers      uint64
-	Aborted        uint64
-	Reissues       uint64 // re-issued transfers after transfer errors
-	TransferErrors uint64 // injected transfer errors observed
-	BytesMoved     uint64
-	BusTime        sim.Time
 }
 
 // copierCounters is the recorder-backed counter set for one copier,
@@ -74,19 +71,6 @@ func New(eng *sim.Engine, b bus.Interconnect, boardID int) *Copier {
 	}
 }
 
-// Stats returns a copy of the counters, reconstructed from the per-run
-// metrics sink.
-func (c *Copier) Stats() Stats {
-	return Stats{
-		Transfers:      uint64(c.ctr.transfers.Value()),
-		Aborted:        uint64(c.ctr.aborted.Value()),
-		Reissues:       uint64(c.ctr.reissues.Value()),
-		TransferErrors: uint64(c.ctr.xferErrs.Value()),
-		BytesMoved:     uint64(c.ctr.bytesMoved.Value()),
-		BusTime:        sim.Time(c.ctr.busTime.Value()),
-	}
-}
-
 // SetSink attaches the observability sink; every transfer then emits a
 // KindCopy event spanning its start to completion, re-issues included.
 func (c *Copier) SetSink(s *obs.Sink) { c.sink = s }
@@ -103,8 +87,23 @@ func (c *Copier) Start(tx bus.Transaction) {
 		panic("copier: Start while busy")
 	}
 	tx.Requester = c.boardID
+	c.tx = tx
 	c.busy = true
-	c.eng.Spawn("copier", func(p *sim.Process) {
+	// Either way the copier process is scheduled once at the current
+	// instant, so reusing it leaves the event order unchanged.
+	if c.proc == nil {
+		c.proc = c.eng.Spawn("copier", c.serve)
+	} else {
+		c.kick.Pulse()
+	}
+}
+
+// serve is the copier process body: perform the pending transfer,
+// re-issuing it after transfer errors, publish the result to Wait, and
+// park until the next Start.
+func (c *Copier) serve(p *sim.Process) {
+	for {
+		tx := c.tx
 		start := p.Now()
 		reissued := false
 		res := c.bus.Do(p, tx)
@@ -152,7 +151,19 @@ func (c *Copier) Start(tx bus.Transaction) {
 		c.result = res
 		c.busy = false
 		c.done.Broadcast()
-	})
+		c.kick.Wait(p)
+	}
+}
+
+// Close retires the parked copier process without scheduling any
+// event, so a finished run leaves no coroutine behind; a later Start
+// spawns a fresh one. Call it only from outside Run, once the
+// simulation is over.
+func (c *Copier) Close() {
+	if c.proc != nil {
+		c.proc.Kill()
+		c.proc, c.kick = nil, sim.Signal{}
+	}
 }
 
 // Wait blocks p until the in-flight transfer (if any) completes and

@@ -24,9 +24,12 @@ func TestRunSynchronous(t *testing.T) {
 	if end != want {
 		t.Errorf("Run took %v, want %v", end, want)
 	}
-	st := c.Stats()
-	if st.Transfers != 1 || st.BytesMoved != 256 || st.Aborted != 0 {
-		t.Errorf("stats %+v", st)
+	rec := eng.Recorder()
+	transfers := rec.Value("board0/copier/transfers")
+	moved := rec.Value("board0/copier/bytes-moved")
+	aborted := rec.Value("board0/copier/aborted")
+	if transfers != 1 || moved != 256 || aborted != 0 {
+		t.Errorf("transfers %d, bytes moved %d, aborted %d; want 1, 256, 0", transfers, moved, aborted)
 	}
 }
 
@@ -69,8 +72,48 @@ func TestWaitAfterCompletion(t *testing.T) {
 	if end != 2*xfer {
 		t.Errorf("elapsed %v, want %v", end, 2*xfer)
 	}
+	// The copier process stays parked for the next transfer until Close
+	// retires it.
+	if eng.Live() != 1 {
+		t.Errorf("%d live processes before Close, want 1 (the parked copier)", eng.Live())
+	}
+	c.Close()
 	if eng.Live() != 0 {
 		t.Errorf("leaked %d processes", eng.Live())
+	}
+}
+
+// TestOneProcessPerCopier: back-to-back transfers reuse the copier's
+// one parked process; Close retires it, and a later Start spawns a
+// fresh one.
+func TestOneProcessPerCopier(t *testing.T) {
+	eng := sim.NewEngine()
+	b := bus.New(eng)
+	c := New(eng, b, 0)
+	transfer := func(p *sim.Process, i int) {
+		c.Run(p, bus.Transaction{Op: bus.ReadShared, PAddr: uint32(i * 256), Bytes: 256})
+	}
+	eng.Spawn("cpu", func(p *sim.Process) {
+		for i := 0; i < 5; i++ {
+			transfer(p, i)
+			if eng.Live() != 2 {
+				t.Errorf("transfer %d: %d live processes, want 2 (cpu and copier)", i, eng.Live())
+			}
+		}
+	})
+	eng.Run()
+	c.Close()
+	if eng.Live() != 0 {
+		t.Fatalf("%d live processes after Close, want 0", eng.Live())
+	}
+	eng.Spawn("cpu", func(p *sim.Process) { transfer(p, 5) })
+	eng.Run()
+	if got := eng.Recorder().Value("board0/copier/transfers"); got != 6 {
+		t.Errorf("transfers = %d, want 6", got)
+	}
+	c.Close()
+	if eng.Live() != 0 {
+		t.Fatalf("%d live processes after the second Close, want 0", eng.Live())
 	}
 }
 

@@ -511,6 +511,11 @@ func (m *Machine) RunCtx(ctx context.Context) (sim.Time, error) {
 			return m.Eng.Now(), ctx.Err()
 		}
 	}
+	// Each board's copier stays parked between transfers; retire it so
+	// a finished run holds no coroutine (nor, through it, the machine).
+	for _, b := range m.Boards {
+		b.Cop.Close()
+	}
 	return m.Eng.Now(), nil
 }
 

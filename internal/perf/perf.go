@@ -12,10 +12,11 @@
 //     reporting engine events/sec, simulated-refs/sec and host ns per
 //     simulated miss — the figures ROADMAP item 2's speed campaign is
 //     judged on.
-//   - Micro: allocs/op and ns/op for the four hot components (engine
-//     event queue, bus transaction path, cache lookup, monitor check),
-//     via testing.Benchmark so the op counts are calibrated the same
-//     way `go test -bench` calibrates them.
+//   - Micro: allocs/op and ns/op for the hot components (engine event
+//     queue, process switch, copier transfer, bus transaction path,
+//     cache lookup, monitor check, store and telemetry), via
+//     testing.Benchmark so the op counts are calibrated the same way
+//     `go test -bench` calibrates them.
 package perf
 
 import (
@@ -27,6 +28,7 @@ import (
 
 	"vmp/internal/bus"
 	"vmp/internal/cache"
+	"vmp/internal/copier"
 	"vmp/internal/monitor"
 	"vmp/internal/scenario"
 	"vmp/internal/serve"
@@ -133,6 +135,8 @@ func Collect() (*Snapshot, error) {
 		fn   func(*testing.B)
 	}{
 		{"engine/schedule-fire", benchEngine},
+		{"sim/process-switch", benchProcessSwitch},
+		{"copier/transfer", benchCopierTransfer},
 		{"bus/transaction", benchBus},
 		{"interconnect/local-hit", benchInterconnectLocal},
 		{"interconnect/cross-link", benchInterconnectCross},
@@ -170,6 +174,46 @@ func benchEngine(b *testing.B) {
 		}
 	}
 	eng.Run()
+}
+
+// benchProcessSwitch measures one Delay round-trip: the process
+// schedules its wake-up and switches out, and the engine fires the
+// event and switches back in. Two processes alternate, so every switch
+// enters a different coroutine, as the machine's CPUs and copiers do.
+func benchProcessSwitch(b *testing.B) {
+	eng := sim.NewEngine()
+	for _, n := range []int{(b.N + 1) / 2, b.N / 2} {
+		eng.Spawn("switch", func(p *sim.Process) {
+			for i := 0; i < n; i++ {
+				p.Delay(1)
+			}
+		})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	eng.Run()
+}
+
+// benchCopierTransfer measures one block transfer on an idle bus: Start
+// wakes the board's parked copier process, which performs the
+// transaction while the CPU waits for its result.
+func benchCopierTransfer(b *testing.B) {
+	eng := sim.NewEngine()
+	cop := copier.New(eng, bus.New(eng), 0)
+	tx := bus.Transaction{Op: bus.ReadShared, Bytes: 256}
+	// The first transfer spawns the copier process; time reuse only.
+	eng.Spawn("warm", func(p *sim.Process) { cop.Run(p, tx) })
+	eng.Run()
+	eng.Spawn("cpu", func(p *sim.Process) {
+		for i := 0; i < b.N; i++ {
+			cop.Run(p, tx)
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	eng.Run()
+	b.StopTimer()
+	cop.Close()
 }
 
 // benchBus measures one consistency-related transaction through the

@@ -196,3 +196,82 @@ func TestRunCellsCellDone(t *testing.T) {
 		t.Fatalf("CellDone missed cells: %v", seen)
 	}
 }
+
+// probeCancelCtx is a context whose Err turns non-nil on its nth call,
+// so the engine's cancel probe stops a run at a deterministic point
+// mid-flight.
+type probeCancelCtx struct {
+	context.Context
+	calls, n int
+	done     chan struct{}
+}
+
+func (c *probeCancelCtx) Done() <-chan struct{} { return c.done }
+
+func (c *probeCancelCtx) Err() error {
+	c.calls++
+	if c.calls >= c.n {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestRunLifecycleLeaksNothing pins process retirement across the three
+// ways a run ends: a completed Run (whose parked per-board copiers must
+// be closed), a contained fault, and a cancellation mid-run. Each leaves
+// no live process on its engine, and repeating them leaves the
+// goroutine count where it started.
+func TestRunLifecycleLeaksNothing(t *testing.T) {
+	lifecycles := []struct {
+		name string
+		run  func(t *testing.T) *core.Machine
+	}{
+		{"completed", func(t *testing.T) *core.Machine {
+			res, err := Run(namedSpec("lifecycle"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res.Machine
+		}},
+		{"faulted", func(t *testing.T) *core.Machine {
+			var rs runState
+			var pe *PanicError
+			if _, err := runGuarded(context.Background(), livelockSpec(), &rs); !errors.As(err, &pe) {
+				t.Fatalf("error %v, want a contained *PanicError", err)
+			}
+			return rs.machine
+		}},
+		{"cancelled", func(t *testing.T) *core.Machine {
+			var rs runState
+			spec := namedSpec("lifecycle-cancelled")
+			spec.Workload.Refs = 50_000
+			ctx := &probeCancelCtx{Context: context.Background(), n: 3, done: make(chan struct{})}
+			if _, err := run(ctx, spec, nil, &rs); !errors.Is(err, context.Canceled) {
+				t.Fatalf("error %v, want context.Canceled", err)
+			}
+			if m := rs.machine; m.Eng.Metrics().EventsFired == 0 || m.Eng.Pending() == 0 {
+				t.Fatal("the cancellation did not land mid-run")
+			}
+			return rs.machine
+		}},
+	}
+	round := func() {
+		for _, lc := range lifecycles {
+			if m := lc.run(t); m.Eng.Live() != 0 {
+				t.Fatalf("%s run: Live() = %d, want 0", lc.name, m.Eng.Live())
+			}
+		}
+	}
+	round() // warm up lazily started runtime goroutines
+	base := runtime.NumGoroutine()
+	for i := 0; i < 4; i++ {
+		round()
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if got := runtime.NumGoroutine(); got != base {
+		t.Fatalf("goroutines went from %d to %d over repeated runs", base, got)
+	}
+}

@@ -132,9 +132,14 @@ func (e *PanicError) Error() string {
 // the caller. The fault leaves no goroutines behind — the engine's
 // process coroutines are killed before returning — so a long-running
 // caller (the vmpd job runner) survives arbitrarily faulty specs.
-func RunGuarded(ctx context.Context, spec Spec) (res *RunResult, err error) {
+func RunGuarded(ctx context.Context, spec Spec) (*RunResult, error) {
+	return runGuarded(ctx, spec, &runState{})
+}
+
+// runGuarded is RunGuarded reporting progress into rs, so a test can
+// reach the machine of a faulted run.
+func runGuarded(ctx context.Context, spec Spec, rs *runState) (res *RunResult, err error) {
 	var dump bytes.Buffer
-	var rs runState
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -152,7 +157,7 @@ func RunGuarded(ctx context.Context, spec Spec) (res *RunResult, err error) {
 		}
 		res, err = nil, pe
 	}()
-	return run(ctx, spec, &dump, &rs)
+	return run(ctx, spec, &dump, rs)
 }
 
 // runState lets run report partial progress back to RunGuarded's

@@ -178,6 +178,11 @@ func (j *job) View() JobView {
 func (j *job) emit(ev JobEvent) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	j.emitLocked(ev)
+}
+
+// emitLocked is emit with j.mu already held.
+func (j *job) emitLocked(ev JobEvent) {
 	j.seq++
 	ev.Seq = j.seq
 	ev.Job = j.view.ID

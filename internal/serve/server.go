@@ -247,7 +247,7 @@ func (s *Server) runner() {
 			for {
 				select {
 				case j := <-s.queue:
-					s.finishJob(j, JobCanceled, "server shutting down", "")
+					s.finishJob(j, time.Time{}, JobCanceled, "server shutting down", "")
 				default:
 					return
 				}
@@ -275,26 +275,44 @@ func (s *Server) enqueue(j *job) bool {
 	}
 }
 
-// finishJob moves a job to a terminal state and emits the matching
-// event.
-func (s *Server) finishJob(j *job, state JobState, errMsg, dump string) {
-	j.update(func(v *JobView) {
-		v.State = state
-		v.Finished = time.Now().UTC()
-		if errMsg != "" {
-			v.Err = errMsg
-		}
-		if dump != "" && v.Dump == "" {
-			v.Dump = dump
-		}
-	})
-	kind := map[JobState]string{JobDone: "done", JobFailed: "failed", JobCanceled: "canceled"}[state]
-	j.emit(JobEvent{Kind: kind, Err: errMsg})
+// terminalKinds names each terminal state's event kind and metric label.
+var terminalKinds = map[JobState]string{JobDone: "done", JobFailed: "failed", JobCanceled: "canceled"}
+
+// finishJob is a job's one terminal transition. In a single j.mu
+// section it first records everything the job produces — the run span
+// and vmpd_job_run_seconds when the job ran (runStart is non-zero), and
+// the finished counter — and only then publishes the terminal state
+// together with the terminal event. Whoever sees the job terminal
+// therefore also sees its last event, span and metrics. The first
+// transition wins; a later one is a no-op.
+func (s *Server) finishJob(j *job, runStart time.Time, state JobState, errMsg, dump string) {
+	kind := terminalKinds[state]
+	end := time.Now()
+	j.mu.Lock()
+	if j.view.State.Terminal() {
+		j.mu.Unlock()
+		return
+	}
+	if !runStart.IsZero() {
+		j.spans.Record("job", "run", runStart, end, string(state))
+		hsince(s.met.runDur, runStart)
+	}
 	cinc(s.met.jobsFinished.WithLabel(kind))
-	v := j.View()
+	v := &j.view
+	v.State = state
+	v.Finished = end.UTC()
+	if errMsg != "" {
+		v.Err = errMsg
+	}
+	if dump != "" && v.Dump == "" {
+		v.Dump = dump
+	}
+	j.emitLocked(JobEvent{Kind: kind, Err: errMsg})
+	id, cells, hits, failed := v.ID, v.Cells, v.CacheHits, v.FailedCells
+	j.mu.Unlock()
 	s.log.Info("job finished",
-		"job", v.ID, "state", kind, "cells", v.Cells, "cache_hits", v.CacheHits,
-		"failed_cells", v.FailedCells, "err", errMsg)
+		"job", id, "state", kind, "cells", cells, "cache_hits", hits,
+		"failed_cells", failed, "err", errMsg)
 }
 
 // runJob executes one admitted job: answer cached cells from the
@@ -309,22 +327,18 @@ func (s *Server) runJob(j *job) {
 		return
 	}
 
+	// The queue span covers admission to run start; the run span, which
+	// finishJob records, covers everything from here to the terminal
+	// state.
+	runStart := time.Now()
 	defer func() {
 		if r := recover(); r != nil {
 			cinc(s.met.faultedCells)
-			s.finishJob(j, JobFailed, fmt.Sprintf("job panicked: %v", r), string(debug.Stack()))
+			s.finishJob(j, runStart, JobFailed, fmt.Sprintf("job panicked: %v", r), string(debug.Stack()))
 		}
 	}()
-
-	// The queue span covers admission to run start; the run span covers
-	// everything from here to the terminal state.
-	runStart := time.Now()
 	j.recordSpan("job", "queue", j.epoch, runStart, "")
 	hsince(s.met.queueWait, j.epoch)
-	defer func() {
-		j.recordSpan("job", "run", runStart, time.Now(), string(j.state()))
-		hsince(s.met.runDur, runStart)
-	}()
 
 	ctx, cancel := context.WithTimeout(s.baseCtx, j.budget)
 	defer cancel()
@@ -382,17 +396,17 @@ func (s *Server) runJob(j *job) {
 			if errors.Is(err, context.DeadlineExceeded) {
 				state, msg = JobFailed, fmt.Sprintf("job budget %s exceeded", j.budget)
 			}
-			s.finishJob(j, state, msg, "")
+			s.finishJob(j, runStart, state, msg, "")
 			return
 		}
 	}
 
 	v := j.View()
 	if v.FailedCells > 0 {
-		s.finishJob(j, JobFailed, fmt.Sprintf("%d/%d cells failed: %s", v.FailedCells, v.Cells, firstCellError(j)), "")
+		s.finishJob(j, runStart, JobFailed, fmt.Sprintf("%d/%d cells failed: %s", v.FailedCells, v.Cells, firstCellError(j)), "")
 		return
 	}
-	s.finishJob(j, JobDone, "", "")
+	s.finishJob(j, runStart, JobDone, "", "")
 }
 
 // firstCellError digs the first failed cell's message out of the event
@@ -974,7 +988,7 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	j.mu.Unlock()
 	switch state {
 	case JobQueued:
-		s.finishJob(j, JobCanceled, "canceled by client", "")
+		s.finishJob(j, time.Time{}, JobCanceled, "canceled by client", "")
 	case JobRunning:
 		if cancel != nil {
 			cancel()

@@ -162,3 +162,44 @@ func TestRegisterCompaction(t *testing.T) {
 		t.Fatalf("Live() = %d, want 0", eng.Live())
 	}
 }
+
+// TestKillProcessesContainsDeferPanic: a deferred call that panics
+// while KillProcesses unwinds its process does not escape the kill, the
+// other parked processes are still unwound, and the engine stays usable.
+func TestKillProcessesContainsDeferPanic(t *testing.T) {
+	eng := NewEngine()
+	var sig Signal
+	eng.Spawn("bad-defer", func(p *Process) {
+		defer func() { panic("defer fault during unwind") }()
+		sig.Wait(p)
+	})
+	unwound := false
+	eng.Spawn("bystander", func(p *Process) {
+		defer func() { unwound = true }()
+		sig.Wait(p)
+	})
+	eng.Run()
+	func() {
+		defer func() {
+			if r := recover(); r != nil {
+				t.Fatalf("KillProcesses let a defer panic escape: %v", r)
+			}
+		}()
+		eng.KillProcesses()
+	}()
+	if !unwound {
+		t.Error("bystander was not unwound")
+	}
+	if got := eng.Live(); got != 0 {
+		t.Fatalf("Live() = %d after KillProcesses, want 0", got)
+	}
+	ran := false
+	eng.Spawn("after", func(p *Process) {
+		p.Delay(1)
+		ran = true
+	})
+	eng.Run()
+	if !ran {
+		t.Fatal("a process spawned after the kill did not run")
+	}
+}

@@ -7,10 +7,11 @@
 //
 // On top of the raw event queue, Process offers a coroutine abstraction:
 // each simulated actor (a CPU, a DMA device, a block copier) runs as a
-// goroutine that advances virtual time with Delay and synchronizes with
-// other actors through Signal and Semaphore. The engine resumes at most
-// one process at a time, so process code may read and write shared
-// simulation state without locks.
+// Go runtime coroutine (iter.Pull, so Go 1.23 or later) that advances
+// virtual time with Delay and synchronizes with other actors through
+// Signal and Semaphore. The engine resumes at most one process at a
+// time, so process code may read and write shared simulation state
+// without locks.
 //
 // Each engine owns a stats.Recorder — the per-run metrics sink that the
 // machine components (bus, caches, monitors, boards) register their
@@ -111,14 +112,8 @@ type Engine struct {
 	metrics Metrics
 	rec     *stats.Recorder
 
-	// procPanic transports a panic out of a process body (which runs on
-	// its own goroutine) back onto the engine goroutine: the process
-	// wrapper records it here, and the step handshake re-panics with it
-	// so callers of Run can recover simulator faults with an ordinary
-	// defer (see Process and ProcessPanic).
-	procPanic *ProcessPanic
 	// plist registers every spawned process so KillProcesses can unwind
-	// the ones still parked in the coroutine handshake.
+	// the ones still parked.
 	plist []*Process
 
 	// checkEvery/checkFn implement the host-side cancellation probe

@@ -1,28 +1,36 @@
+//go:build go1.23
+
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"runtime/debug"
 )
 
-// Process is a coroutine bound to an Engine. A process runs as a
-// goroutine, but the engine resumes at most one process at a time and a
-// process only gives up control at Delay, Pause, or wait points, so
-// process bodies may touch shared simulation state without locking.
+// Process is a simulated actor bound to an Engine. Its body runs as a
+// Go runtime coroutine (iter.Pull): the engine switches into it
+// directly, without the goroutine scheduler, and the body switches back
+// at Delay, Pause, or a wait point. At most one process runs at a time,
+// so process bodies may touch shared simulation state without locking.
 //
 // A process must not be resumed from two events at once; the engine's
 // single-threaded event loop guarantees this as long as user code only
 // wakes processes through the provided primitives (Delay, Signal,
 // Semaphore, Wake).
 type Process struct {
-	eng    *Engine
-	name   string
-	resume chan struct{}
-	yield  chan struct{}
-	dead   bool
-	// killed marks a process being unwound by KillProcesses: the next
-	// resume panics with the kill sentinel instead of returning to the
-	// body.
+	eng  *Engine
+	name string
+	// next resumes the body until it next yields; stop unwinds it
+	// (both from iter.Pull). yield, captured on first entry, is the
+	// body's switch back to the engine: it reports false once stop has
+	// been called.
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+	dead  bool
+	// killed marks a process being unwound by Kill: any panic on the
+	// way out, the kill sentinel or a defer's own, is swallowed.
 	killed bool
 	// blocked is true while the process waits for an external wake
 	// (Signal/Semaphore/Pause) rather than a self-scheduled Delay.
@@ -32,19 +40,17 @@ type Process struct {
 	stepFn func()
 }
 
-// ProcessPanic is the value the engine re-panics with on its own
-// goroutine when a process body panics. Process bodies run on separate
-// goroutines, where a raw panic would kill the whole program with an
-// unrecoverable goroutine trace; the wrapper installed by Spawn
-// captures the fault instead and the step handshake re-raises it inside
-// Run, so a caller of Run can contain a simulator fault (a livelock
-// hard limit, a protocol assertion) with an ordinary recover.
+// ProcessPanic is the value a process body's panic surfaces as on the
+// engine side. The body's exit wrapper captures the original value and
+// the coroutine's stack, and iter.Pull re-raises the wrapper inside Run,
+// so a caller of Run can contain a simulator fault (a livelock hard
+// limit, a protocol assertion) with an ordinary recover.
 type ProcessPanic struct {
 	// Proc is the name of the process whose body panicked.
 	Proc string
 	// Value is the original panic value.
 	Value any
-	// Stack is the panicking goroutine's stack at the point of capture.
+	// Stack is the panicking coroutine's stack at the point of capture.
 	Stack []byte
 }
 
@@ -53,8 +59,8 @@ func (pp *ProcessPanic) String() string {
 	return fmt.Sprintf("process %q panicked: %v", pp.Proc, pp.Value)
 }
 
-// killSentinel is the panic value KillProcesses uses to unwind a
-// process body; the Spawn wrapper swallows it.
+// killSentinel is the panic value a killed process unwinds with; its
+// exit wrapper swallows it.
 type killSentinel struct{}
 
 // Spawn starts body as a new simulated process. The body begins executing
@@ -62,38 +68,29 @@ type killSentinel struct{}
 // instant. Spawn may be called both from outside Run and from within
 // event callbacks or other processes.
 func (e *Engine) Spawn(name string, body func(p *Process)) *Process {
-	p := &Process{
-		eng:    e,
-		name:   name,
-		resume: make(chan struct{}),
-		yield:  make(chan struct{}),
-	}
+	p := &Process{eng: e, name: name}
 	p.stepFn = p.step
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		defer p.exit()
+		body(p)
+	})
 	e.procs++
 	e.register(p)
-	go func() {
-		<-p.resume
-		if !p.killed {
-			func() {
-				defer func() {
-					r := recover()
-					if r == nil {
-						return
-					}
-					if _, ok := r.(killSentinel); ok {
-						return
-					}
-					p.eng.procPanic = &ProcessPanic{Proc: p.name, Value: r, Stack: debug.Stack()}
-				}()
-				body(p)
-			}()
-		}
-		p.dead = true
-		p.eng.procs--
-		p.yield <- struct{}{}
-	}()
 	e.Schedule(0, p.stepFn)
 	return p
+}
+
+// exit retires the process when its body returns or unwinds. A panic
+// from a killed process is swallowed; any other is re-raised as a
+// *ProcessPanic, which iter.Pull carries out of the coroutine to the
+// step call inside Run.
+func (p *Process) exit() {
+	p.dead = true
+	p.eng.procs--
+	if r := recover(); r != nil && !p.killed {
+		panic(&ProcessPanic{Proc: p.name, Value: r, Stack: debug.Stack()})
+	}
 }
 
 // register adds p to the kill registry, compacting dead entries when
@@ -112,25 +109,33 @@ func (e *Engine) register(p *Process) {
 	e.plist = append(e.plist, p)
 }
 
-// KillProcesses unwinds every live process: each parked coroutine is
-// resumed one final time and panics internally with a kill sentinel, so
-// its goroutine runs its defers and exits instead of leaking. Call it
-// only from outside Run (never from an event callback or process body),
+// Kill unwinds the process without scheduling any event: a parked body
+// panics with the kill sentinel at its wait point and runs its defers,
+// and a body that never started never runs. A panic raised on the way
+// out does not escape; the killed process is abandoned regardless.
+// Call it only from outside Run (never from an event callback or
+// process body). Killing a dead process is a no-op.
+func (p *Process) Kill() {
+	if p.dead {
+		return
+	}
+	p.killed = true
+	p.stop()
+	if !p.dead { // never started, so exit never ran
+		p.dead = true
+		p.eng.procs--
+	}
+}
+
+// KillProcesses kills every live process (see Kill), so no coroutine
+// outlives an abandoned simulation. Call it only from outside Run,
 // after abandoning a cancelled or faulted simulation; the simulated
 // state is left as-is and must not be trusted afterwards.
 func (e *Engine) KillProcesses() {
 	for _, p := range e.plist {
-		if p.dead {
-			continue
-		}
-		p.killed = true
-		p.resume <- struct{}{}
-		<-p.yield
+		p.Kill()
 	}
 	e.plist = e.plist[:0]
-	// A defer that panicked during unwinding must not poison a later,
-	// unrelated step; the killed simulation is abandoned regardless.
-	e.procPanic = nil
 }
 
 // Live reports the number of processes that have been spawned and have
@@ -141,35 +146,19 @@ func (e *Engine) Live() int { return e.procs }
 // Name returns the name given at Spawn.
 func (p *Process) Name() string { return p.name }
 
-// Engine returns the engine this process belongs to.
-func (p *Process) Engine() *Engine { return p.eng }
-
 // Now returns the current simulated time.
 func (p *Process) Now() Time { return p.eng.now }
 
-// step transfers control into the process until its next yield. It is
-// the only way a process ever runs, so process execution is serialized
-// with all other events. A panic captured from the process body is
-// re-raised here, on the engine goroutine, where Run's caller can
-// recover it.
-func (p *Process) step() {
-	if p.dead {
-		return
-	}
-	p.resume <- struct{}{}
-	<-p.yield
-	if pp := p.eng.procPanic; pp != nil {
-		p.eng.procPanic = nil
-		panic(pp)
-	}
-}
+// step switches into the process until its next yield. It is the only
+// way a process ever runs, so process execution is serialized with all
+// other events. Stepping a finished process is a no-op.
+func (p *Process) step() { p.next() }
 
-// switchOut returns control to the engine and blocks until the next
-// step call resumes the process.
+// switchOut returns control to the engine until the next step. It
+// unwinds the body with the kill sentinel if the process was killed
+// while parked.
 func (p *Process) switchOut() {
-	p.yield <- struct{}{}
-	<-p.resume
-	if p.killed {
+	if !p.yield(struct{}{}) {
 		panic(killSentinel{})
 	}
 }
@@ -188,13 +177,10 @@ func (p *Process) Pause() {
 	p.switchOut()
 }
 
-// Blocked reports whether the process is paused waiting for a Wake.
-func (p *Process) Blocked() bool { return p.blocked }
-
 // Wake schedules the process to resume at the current simulated time.
 // It must only be called while the process is paused via Pause (directly
 // or through Signal/Semaphore); waking a process that is not paused
-// corrupts the coroutine handshake.
+// panics.
 func (p *Process) Wake() {
 	if !p.blocked {
 		panic("sim: Wake of a process that is not paused: " + p.name)
@@ -218,11 +204,12 @@ func (s *Signal) Wait(p *Process) {
 // Broadcast wakes every waiting process. The processes resume at the
 // current simulated time in the order they began waiting.
 func (s *Signal) Broadcast() {
-	ws := s.waiters
-	s.waiters = nil
-	for _, p := range ws {
+	// Wake only schedules, so no waiter re-enters the list before the
+	// reset, which keeps the storage for the next Wait.
+	for _, p := range s.waiters {
 		p.Wake()
 	}
+	s.waiters = s.waiters[:0]
 }
 
 // WaitTimeout waits on the signal for at most d, reporting whether the
@@ -257,7 +244,7 @@ func (s *Signal) Pulse() bool {
 		return false
 	}
 	p := s.waiters[0]
-	s.waiters = s.waiters[1:]
+	s.waiters = append(s.waiters[:0], s.waiters[1:]...) // in place: no regrowth
 	p.Wake()
 	return true
 }
@@ -290,12 +277,9 @@ func (s *Semaphore) Acquire(p *Process) {
 func (s *Semaphore) Release() {
 	if len(s.waiters) > 0 {
 		p := s.waiters[0]
-		s.waiters = s.waiters[1:]
+		s.waiters = append(s.waiters[:0], s.waiters[1:]...)
 		p.Wake()
 		return
 	}
 	s.count++
 }
-
-// Available reports the current count (ignoring waiters).
-func (s *Semaphore) Available() int { return s.count }

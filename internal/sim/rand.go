@@ -63,18 +63,6 @@ func (r *Rand) ExpFloat64() float64 {
 	return -math.Log(u)
 }
 
-// NormFloat64 returns a normally distributed float64 with mean 0 and
-// standard deviation 1 (Box–Muller; one value per call keeps the state
-// machine trivial).
-func (r *Rand) NormFloat64() float64 {
-	u1 := r.Float64()
-	if u1 <= 0 {
-		u1 = math.SmallestNonzeroFloat64
-	}
-	u2 := r.Float64()
-	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-}
-
 // Perm returns a pseudo-random permutation of [0, n).
 func (r *Rand) Perm(n int) []int {
 	p := make([]int, n)
