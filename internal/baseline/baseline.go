@@ -172,9 +172,6 @@ func NewSystem(n int, cfg Config) *System {
 	return s
 }
 
-// Stats returns a copy of the accumulated statistics.
-func (s *System) Stats() Stats { return s.stats }
-
 // busTransfer accounts one bus transaction moving n bytes (n = 0 for
 // address-only transactions such as invalidations).
 func (s *System) busTransfer(n int) {

@@ -66,7 +66,7 @@ func TestWriteBroadcastExclusiveStaysLocal(t *testing.T) {
 	s := NewSystem(2, DefaultConfig(WriteBroadcast))
 	// Only CPU0 touches the line: writes must stay local after fill.
 	streams := [][]trace.Ref{
-		workload.Sequential(1, 0x4000, 1, trace.Write),
+		{{Kind: trace.Write, ASID: 1, VAddr: 0x4000}},
 		nil,
 	}
 	for i := 0; i < 20; i++ {

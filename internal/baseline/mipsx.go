@@ -51,9 +51,6 @@ func NewMIPSX(n int, cfg Config, isShared func(addr uint32) bool) *MIPSX {
 	return m
 }
 
-// Stats returns a copy of the counters.
-func (m *MIPSX) Stats() MIPSXStats { return m.stats }
-
 func (m *MIPSX) busTransfer(n int) {
 	m.stats.Transactions++
 	m.stats.BusBytes += uint64(n)

@@ -162,9 +162,6 @@ func (h *Hierarchy) SetTiming(t Timing) { h.timing = t }
 // Timing implements Interconnect.
 func (h *Hierarchy) Timing() Timing { return h.timing }
 
-// Topology returns the interconnect shape.
-func (h *Hierarchy) Topology() Topology { return h.topo }
-
 // Attach implements Interconnect, placing the monitor on its board's
 // segment.
 func (h *Hierarchy) Attach(s Snooper) {
@@ -217,9 +214,6 @@ func (h *Hierarchy) LinkStats() LinkStats {
 	}
 }
 
-// Segments returns the number of local bus segments.
-func (h *Hierarchy) Segments() int { return len(h.segs) }
-
 // SegmentUtilization returns one segment's occupancy divided by
 // elapsed simulated time.
 func (h *Hierarchy) SegmentUtilization(i int) float64 {
@@ -227,15 +221,6 @@ func (h *Hierarchy) SegmentUtilization(i int) float64 {
 		return 0
 	}
 	return float64(h.segs[i].busy.Value()) / float64(h.eng.Now())
-}
-
-// LinkUtilization returns the link's occupancy divided by elapsed
-// simulated time.
-func (h *Hierarchy) LinkUtilization() float64 {
-	if h.eng.Now() == 0 {
-		return 0
-	}
-	return float64(h.linkBusy.Value()) / float64(h.eng.Now())
 }
 
 // Utilization implements Interconnect: the mean per-segment

@@ -218,9 +218,6 @@ func (c *Cache) BindRecorder(rec *stats.Recorder, prefix string) {
 	c.ctr = bindCacheCounters(rec, prefix)
 }
 
-// Config returns the cache geometry.
-func (c *Cache) Config() Config { return c.cfg }
-
 // Stats returns a copy of the event counters.
 func (c *Cache) Stats() Stats {
 	return Stats{
@@ -231,16 +228,6 @@ func (c *Cache) Stats() Stats {
 		Fills:       uint64(c.ctr.fills.Value()),
 		Invalidates: uint64(c.ctr.invalidates.Value()),
 		Downgrades:  uint64(c.ctr.downgrades.Value()),
-	}
-}
-
-// ResetStats zeroes the event counters (contents are untouched).
-func (c *Cache) ResetStats() {
-	for _, ctr := range []*stats.Counter{
-		c.ctr.hits, c.ctr.misses, c.ctr.writeMisses, c.ctr.protFaults,
-		c.ctr.fills, c.ctr.invalidates, c.ctr.downgrades,
-	} {
-		ctr.Reset()
 	}
 }
 
@@ -349,10 +336,6 @@ func (c *Cache) Downgrade(id SlotID) {
 	c.ctr.downgrades.Inc()
 }
 
-// ClearModified clears only the Modified bit (after a write-back that
-// retains ownership).
-func (c *Cache) ClearModified(id SlotID) { c.slots[id].Flags &^= Modified }
-
 // SetFlags replaces the permission/ownership flags of a slot, keeping
 // Valid.
 func (c *Cache) SetFlags(id SlotID, flags Flags) {
@@ -383,16 +366,6 @@ func (c *Cache) ValidSlots(fn func(SlotID, Slot)) {
 	for i := range c.slots {
 		if c.slots[i].Flags.Has(Valid) {
 			fn(SlotID(i), c.slots[i].Slot)
-		}
-	}
-}
-
-// InvalidateAll clears the whole cache (used by tests and by the
-// FIFO-overflow recovery path's conservative variant).
-func (c *Cache) InvalidateAll() {
-	for i := range c.slots {
-		if c.slots[i].Flags.Has(Valid) {
-			c.Invalidate(SlotID(i))
 		}
 	}
 }

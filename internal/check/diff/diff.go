@@ -231,20 +231,6 @@ type Report struct {
 	Mismatches []string
 }
 
-// Clean reports whether every protocol ran violation-free and all
-// final images agree with the plan and each other.
-func (r *Report) Clean() bool {
-	if len(r.Mismatches) != 0 {
-		return false
-	}
-	for _, o := range r.Outcomes {
-		if len(o.Violations) != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // Run executes the differential oracle: one machine per protocol, the
 // same plan and fault seed on each, then the cross-protocol image
 // comparison. The error covers setup problems only; protocol

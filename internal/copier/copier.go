@@ -75,9 +75,6 @@ func New(eng *sim.Engine, b bus.Interconnect, boardID int) *Copier {
 // KindCopy event spanning its start to completion, re-issues included.
 func (c *Copier) SetSink(s *obs.Sink) { c.sink = s }
 
-// Busy reports whether a transfer is in flight.
-func (c *Copier) Busy() bool { return c.busy }
-
 // Start launches a block transaction asynchronously. The CPU may keep
 // executing (bookkeeping in local memory) and must call Wait before
 // depending on the result. Starting while busy is a programming error

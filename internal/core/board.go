@@ -558,9 +558,13 @@ func (b *Board) refNested(p *sim.Process, asid uint8, vaddr uint32, depth int) e
 	}
 }
 
-// missFillNested is missFill with the recursion depth threaded through
-// (the public missFill starts at depth 0; the structure is identical,
-// so it simply reuses missFill's logic via translate's depth argument).
+// missFillNested is the miss handler for a page-table reference taken
+// while translating another miss, with the recursion depth threaded
+// through to translate. It is a separate, simplified copy of missFill,
+// not a call into it: it always fills with ReadShared (page-table pages
+// are shared metadata under every protocol), records no miss-latency
+// histogram sample, emits only its one nested miss-phase event, and
+// does not set the VM referenced mark.
 func (b *Board) missFillNested(p *sim.Process, asid uint8, vaddr uint32, acc cache.Access, depth, attempt int) (retried bool, err error) {
 	t := b.timing()
 	start := p.Now()

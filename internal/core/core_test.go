@@ -596,8 +596,15 @@ func TestPerformanceDegradesWithMissRatio(t *testing.T) {
 	for i := range looped {
 		looped[i] = trace.Ref{Kind: trace.Read, ASID: 1, VAddr: 0x1000 + uint32(i*4%2048)}
 	}
+	strided := func(stride int) []trace.Ref {
+		refs := make([]trace.Ref, 5000)
+		for i := range refs {
+			refs[i] = trace.Ref{Kind: trace.Read, ASID: 1, VAddr: 0x1000 + uint32(i*stride)}
+		}
+		return refs
+	}
 	local := run(looped)
-	thrash := run(workload.Stride(1, 0x1000, 5000, 256, trace.Read))
+	thrash := run(strided(256))
 	if local < 0.9 {
 		t.Errorf("looped performance %v, want > 0.9", local)
 	}
@@ -606,7 +613,7 @@ func TestPerformanceDegradesWithMissRatio(t *testing.T) {
 	}
 	// A once-per-page sequential walk (1.56% miss ratio) sits in
 	// between — the Figure 3 regime.
-	seq := run(workload.Sequential(1, 0x1000, 5000, trace.Read))
+	seq := run(strided(4))
 	if seq < 0.3 || seq > 0.8 {
 		t.Errorf("sequential performance %v, want mid-range", seq)
 	}

@@ -74,11 +74,11 @@ func runStream(t testing.TB, seed uint64) ([]byte, uint64) {
 	if v := m.CheckInvariants(); len(v) != 0 {
 		t.Fatalf("invariants: %v", v)
 	}
-	var buf bytes.Buffer
-	if err := obs.Encode(&buf, m.Sink().Stream()); err != nil {
-		t.Fatal(err)
+	var buf []byte
+	for _, e := range m.Sink().Stream() {
+		buf = e.AppendBinary(buf)
 	}
-	return buf.Bytes(), m.Sink().Digest()
+	return buf, m.Sink().Digest()
 }
 
 // TestSerialParallelStreamsIdentical proves the tentpole determinism

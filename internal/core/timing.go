@@ -8,7 +8,7 @@ package core
 import "vmp/internal/sim"
 
 // Timing collects every processor-side latency constant. Bus and memory
-// latencies live in bus.Timing and memory.Timing; the defaults here are
+// latencies live in bus.Timing; the defaults here are
 // calibrated to the paper's 16 MHz 68020 and its miss-handler
 // instruction counts, so that the simulated Table 1 reproduces the
 // published elapsed and bus times.

@@ -318,45 +318,25 @@ func AblationReadPrivate(o Options) (*Result, error) {
 // traces, measuring per-processor performance and bus utilization —
 // the Section 5.3 question of how many processors one bus carries.
 func AblationScaling(o Options) (*Result, error) {
-	// Processor counts and per-board trace length come from the
-	// experiment's grid.
-	g := scalingGrid(o)
-	refsPer := g.Base.Workload.Refs
+	// The experiment runs its grid's cells: one machine per processor
+	// count, each board an independent edit trace in its own address
+	// space with a private slice of the kernel region (per-CPU kernel
+	// stacks and data — otherwise every CPU write-shares the same
+	// physical kernel frames, which is not the independent-workload
+	// question Section 5.3 asks).
+	cells, err := scalingGrid(o).Expand()
+	if err != nil {
+		return nil, err
+	}
 	t := stats.NewTable("Scaling: independent workloads on one bus",
 		"Processors", "Bus Utilization (%)", "Mean Performance", "Relative to 1 CPU")
 	var base float64
 	var xs, ys []float64
-	for _, n := range g.IntAxis("machine.processors") {
-		m, err := o.newMachine(n, g.Base.Machine.CacheSize)
+	for _, c := range cells {
+		n := c.Spec.Machine.Processors
+		m, err := o.run(c.Spec)
 		if err != nil {
 			return nil, err
-		}
-		for i := 0; i < n; i++ {
-			asid := uint8(i + 1)
-			refs, err := workload.Generate(workload.Edit, o.Seed+uint64(i)*31, refsPer)
-			if err != nil {
-				return nil, err
-			}
-			// Each processor gets its own address space (independent
-			// jobs): remap the trace's ASID, and give each CPU a
-			// private slice of the kernel region (per-CPU kernel
-			// stacks and data — otherwise every CPU write-shares the
-			// same physical kernel frames, which is not the
-			// independent-workload question Section 5.3 asks).
-			for j := range refs {
-				refs[j].ASID = asid
-				if refs[j].VAddr >= workload.KernelCodeBase {
-					refs[j].VAddr += uint32(i) << 24
-				}
-			}
-			if err := m.PrefaultTrace(refs); err != nil {
-				return nil, err
-			}
-			m.RunTrace(i, trace.NewSliceSource(refs))
-		}
-		m.Run()
-		if v := m.CheckInvariants(); len(v) != 0 {
-			return nil, fmt.Errorf("invariants: %v", v)
 		}
 		perf := 0.0
 		for i := 0; i < n; i++ {
@@ -393,51 +373,26 @@ func AblationScaling(o Options) (*Result, error) {
 // per-segment board count, and the link columns show how much
 // consistency traffic the inclusion filter keeps local.
 func AblationTopology(o Options) (*Result, error) {
+	// The experiment runs its grid's cells. As in AblationScaling, each
+	// board is an independent job with its own address space and a
+	// private slice of the kernel region.
 	g := topologyGrid(o)
 	refsPer := g.Base.Workload.Refs
 	boards := g.Base.Machine.Processors
+	cells, err := g.Expand()
+	if err != nil {
+		return nil, err
+	}
 	t := stats.NewTable("Hierarchical interconnect: 64 boards, independent edit traces",
 		"Buses", "Boards/Bus", "Miss Ratio (%)", "Bus Util (%)", "Model Util (%)",
 		"Link Crossings", "Filtered Local (%)", "Mean Perf")
 	var xs, measured, modeled []float64
-	for _, buses := range g.IntAxis("topology.buses") {
+	for k, buses := range g.IntAxis("topology.buses") {
 		perBus := (boards + buses - 1) / buses
-		cfg := core.Config{
-			Processors: boards,
-			Cache:      cache.Geometry(g.Base.Machine.CacheSize, g.Base.Machine.PageSize, g.Base.Machine.Assoc),
-			MemorySize: g.Base.Machine.MemorySize,
-			Topology:   bus.Topology{Buses: buses},
-		}
-		m, err := o.machine(cfg)
+		m, err := o.run(cells[k].Spec)
 		if err != nil {
 			return nil, err
 		}
-		for i := 0; i < boards; i++ {
-			asid := uint8(i + 1)
-			refs, err := workload.Generate(workload.Edit, o.Seed+uint64(i)*31, refsPer)
-			if err != nil {
-				return nil, err
-			}
-			// Independent jobs, as in AblationScaling: own address
-			// space per board, private kernel-region slice. The slice
-			// stride is 2 MB (not scaling's 16 MB) so 64 slices fit
-			// between the kernel code and data bases without wrapping.
-			for j := range refs {
-				refs[j].ASID = asid
-				if refs[j].VAddr >= workload.KernelCodeBase {
-					refs[j].VAddr += uint32(i) << 21
-				}
-			}
-			if err := m.PrefaultTrace(refs); err != nil {
-				return nil, err
-			}
-			m.RunTrace(i, trace.NewSliceSource(refs))
-		}
-		m.Run()
-		if v := m.CheckInvariants(); len(v) != 0 {
-			return nil, fmt.Errorf("invariants: %v", v)
-		}
-
 		cs, _ := m.TotalStats()
 		totalRefs := uint64(boards) * uint64(refsPer)
 		missRatio := float64(cs.Fills) / float64(totalRefs)

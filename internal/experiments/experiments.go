@@ -216,15 +216,6 @@ func IDs() []string {
 	return out
 }
 
-// Describe returns a one-line description per experiment ID.
-func Describe() map[string]string {
-	out := make(map[string]string, len(Registry))
-	for i := range Registry {
-		out[Registry[i].ID] = Registry[i].Title
-	}
-	return out
-}
-
 // UnknownIDError reports a Run request for an ID that is not
 // registered, carrying the valid IDs for the caller to print.
 type UnknownIDError struct {

@@ -10,9 +10,8 @@ func TestIDsAndDescribeAgree(t *testing.T) {
 	if len(ids) < 15 {
 		t.Fatalf("only %d experiments", len(ids))
 	}
-	desc := Describe()
-	for _, id := range ids {
-		if desc[id] == "" {
+	for i, id := range ids {
+		if Registry[i].ID != id || Registry[i].Title == "" {
 			t.Errorf("no description for %s", id)
 		}
 	}

@@ -232,30 +232,15 @@ func Figure5(o Options) (*Result, error) {
 	}, nil
 }
 
-// measureTraceUtilization runs one trace-driven processor and returns
-// its measured bus utilization and fill-based miss ratio.
+// measureTraceUtilization runs fig5's grid cell (one processor
+// replaying an edit trace) and returns its measured bus utilization and
+// fill-based miss ratio.
 func measureTraceUtilization(o Options) (util, missRatio float64, err error) {
-	m, err := o.machine(core.Config{
-		Processors: 1,
-		Cache:      cache.Geometry(128<<10, 256, 4),
-		MemorySize: 8 << 20,
-	})
+	g := fig5Grid(o)
+	m, err := o.run(g.Base)
 	if err != nil {
 		return 0, 0, err
-	}
-	refs, err := workload.Generate(workload.Edit, o.Seed, o.traceLen())
-	if err != nil {
-		return 0, 0, err
-	}
-	if err := m.PrefaultTrace(refs); err != nil {
-		return 0, 0, err
-	}
-	m.RunTrace(0, trace.NewSliceSource(refs))
-	m.Run()
-	if v := m.CheckInvariants(); len(v) != 0 {
-		return 0, 0, fmt.Errorf("invariants: %v", v)
 	}
 	cs := m.Boards[0].Cache.Stats()
-	missRatio = float64(cs.Fills) / float64(len(refs))
-	return m.Bus.Utilization(), missRatio, nil
+	return m.Bus.Utilization(), float64(cs.Fills) / float64(g.Base.Workload.Refs), nil
 }

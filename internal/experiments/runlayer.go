@@ -1,10 +1,13 @@
 package experiments
 
 import (
+	"context"
+	"fmt"
 	"strings"
 	"time"
 
 	"vmp/internal/core"
+	"vmp/internal/scenario"
 	"vmp/internal/sim"
 )
 
@@ -110,6 +113,31 @@ func (o Options) machine(cfg core.Config) (*core.Machine, error) {
 	}
 	o.track.add(m.Eng)
 	return m, nil
+}
+
+// run executes one experiment cell through scenario.RunCtx under the
+// run's seed, fault plan, watchdog setting and context, registers the
+// machine's engine with the run's tracker, and reports any invariant
+// violation as an error. It returns the finished machine.
+func (o Options) run(spec scenario.Spec) (*core.Machine, error) {
+	spec.Seed = o.Seed
+	if o.Faults != nil && o.Faults.Enabled() {
+		spec.Faults = o.Faults.String()
+	}
+	spec.Check = spec.Check || o.Check
+	ctx := o.ctx
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	res, err := scenario.RunCtx(ctx, spec)
+	if err != nil {
+		return nil, err
+	}
+	o.track.add(res.Machine.Eng)
+	if len(res.Violations) != 0 {
+		return nil, fmt.Errorf("invariants: %v", res.Violations)
+	}
+	return res.Machine, nil
 }
 
 // newMachine builds the experiments' standard machine shape: procs

@@ -7,9 +7,10 @@ import (
 
 // This file makes every registered experiment expressible as data: a
 // scenario.Grid describing the machines and workloads the experiment
-// sweeps. The sweeping experiments (fig4, assoc, scaling,
-// pagecontention, fault-sweep) read their axes FROM their grid, so the
-// declarative form and the imperative runner cannot drift; the
+// sweeps. The sweeping experiments (fig4, assoc, pagecontention,
+// fault-sweep) read their axes FROM their grid, and fig5, scaling and
+// topology go further: they execute their grid's cells through
+// scenario.Run, so the declarative form and the runner cannot drift; the
 // program-driven experiments (locks, ipc, workqueue, …) publish the
 // machine grid their closures run on, with workload kind "none" —
 // their reference streams are generated in code, not replayed from a
@@ -65,6 +66,18 @@ func assocGrid(o Options) *scenario.Grid {
 		Axes: []scenario.Axis{
 			{Path: "workload.profile", Values: profileAxis()},
 			{Path: "machine.assoc", Values: scenario.Values(1, 2, 4)},
+		},
+	}
+}
+
+// fig5Grid is Figure 5's measured point: one processor replaying an
+// edit trace. Figure5 runs its single cell.
+func fig5Grid(o Options) *scenario.Grid {
+	return &scenario.Grid{
+		Name: "fig5",
+		Base: scenario.Spec{
+			Machine:  machineSpec(1, 128<<10),
+			Workload: scenario.WorkloadSpec{Kind: scenario.WorkloadProfile, Profile: "edit", Refs: o.traceLen()},
 		},
 	}
 }
@@ -196,12 +209,7 @@ var scenarioGrids = map[string]func(Options) *scenario.Grid{
 		}
 	},
 	"fig4": fig4Grid,
-	"fig5": func(o Options) *scenario.Grid {
-		return singleCell("fig5", scenario.Spec{
-			Machine:  machineSpec(1, 128<<10),
-			Workload: scenario.WorkloadSpec{Kind: scenario.WorkloadProfile, Profile: "edit", Refs: o.traceLen()},
-		})(o)
-	},
+	"fig5": fig5Grid,
 	"locks": func(Options) *scenario.Grid {
 		return &scenario.Grid{
 			Name: "locks",

@@ -413,8 +413,25 @@ func TestThreadsTimesliceOneBoard(t *testing.T) {
 			}}
 		threads = append(threads, NewThread(asid, prog, cfg))
 	}
+	// Round-robin 40-instruction slices, writing the ASID register on
+	// each switch and never flushing the cache.
 	doneRan := false
-	ScheduleThreads(m, 0, threads, 40, func() { doneRan = true })
+	m.RunProgram(0, func(c *core.CPU) {
+		for live := len(threads); live > 0; {
+			live = 0
+			for _, th := range threads {
+				if th.Halted() {
+					continue
+				}
+				live++
+				c.SetASID(th.ASID)
+				c.Compute(50) // context-switch software cost
+				for i := 0; i < 40 && !th.Step(c); i++ {
+				}
+			}
+		}
+		doneRan = true
+	})
 	m.Run()
 	if !doneRan {
 		t.Fatal("scheduler never finished")

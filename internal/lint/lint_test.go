@@ -40,6 +40,24 @@ func testLoader(t *testing.T) *Loader {
 	return loader
 }
 
+var (
+	moduleOnce sync.Once
+	modulePkgs []*Package
+	moduleErr  error
+)
+
+// modulePackages typechecks the module's non-test files once and
+// shares the result across the whole-module tests.
+func modulePackages(t *testing.T) []*Package {
+	t.Helper()
+	l := testLoader(t)
+	moduleOnce.Do(func() { modulePkgs, moduleErr = l.Load() })
+	if moduleErr != nil {
+		t.Fatal(moduleErr)
+	}
+	return modulePkgs
+}
+
 // runFixture typechecks testdata/src/<name> under importPath (the
 // pretend path decides which analyzers' Match applies), runs the
 // analyzers, and checks the findings against `// want "regex"`
@@ -247,12 +265,7 @@ func TestRepoIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("typechecks the whole module")
 	}
-	l := testLoader(t)
-	pkgs, err := l.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs := Run(pkgs, All())
+	fs := Run(modulePackages(t), All())
 	for _, f := range Unsuppressed(fs) {
 		t.Errorf("vmplint: %s", f)
 	}

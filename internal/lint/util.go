@@ -85,15 +85,6 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	return nil
 }
 
-// isPkgFunc reports whether fn is the package-level function
-// pkgPath.name.
-func isPkgFunc(fn *types.Func, pkgPath, name string) bool {
-	if fn == nil || fn.Pkg() == nil || fn.Name() != name || fn.Pkg().Path() != pkgPath {
-		return false
-	}
-	return fn.Type().(*types.Signature).Recv() == nil
-}
-
 // typeString prints a type with package-name (not import-path)
 // qualification, matching how diagnostics read in editors.
 func typeString(t types.Type) string {

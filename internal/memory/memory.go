@@ -1,7 +1,8 @@
 // Package memory models VMP's shared main memory: a sequence of cache
 // page frames backed by static-column RAM optimized for block transfer
 // (300 ns for the first longword of a sequential access, 100 ns for each
-// subsequent one).
+// subsequent one — charged by bus.Timing, which times every block
+// transfer).
 //
 // The memory carries real byte data. Because the consistency protocol
 // guarantees that a privately held page has exactly one copy and that
@@ -14,35 +15,12 @@ package memory
 import (
 	"encoding/binary"
 	"fmt"
-
-	"vmp/internal/sim"
 )
-
-// Timing holds the memory-board timing constants from the paper.
-type Timing struct {
-	FirstWord sim.Time // first longword of a sequential access
-	NextWord  sim.Time // each subsequent longword
-}
-
-// DefaultTiming matches the prototype's static-column RAM boards.
-func DefaultTiming() Timing {
-	return Timing{FirstWord: 300 * sim.Nanosecond, NextWord: 100 * sim.Nanosecond}
-}
-
-// BlockTime returns the time to stream n bytes sequentially.
-func (t Timing) BlockTime(n int) sim.Time {
-	words := n / 4
-	if words <= 0 {
-		return 0
-	}
-	return t.FirstWord + sim.Time(words-1)*t.NextWord
-}
 
 // Memory is the shared main memory.
 type Memory struct {
 	data      []byte
 	pageSize  int
-	timing    Timing
 	freeList  []uint32 // free frame numbers, LIFO
 	allocated []bool
 }
@@ -56,7 +34,6 @@ func New(size, pageSize int) *Memory {
 	m := &Memory{
 		data:      make([]byte, size),
 		pageSize:  pageSize,
-		timing:    DefaultTiming(),
 		allocated: make([]bool, size/pageSize),
 	}
 	// Populate the free list high-to-low so Alloc hands out frame 0,
@@ -75,9 +52,6 @@ func (m *Memory) PageSize() int { return m.pageSize }
 
 // Frames returns the number of cache page frames.
 func (m *Memory) Frames() int { return len(m.data) / m.pageSize }
-
-// Timing returns the board timing constants.
-func (m *Memory) Timing() Timing { return m.timing }
 
 // Frame returns the frame number containing physical address paddr.
 func (m *Memory) Frame(paddr uint32) uint32 { return paddr / uint32(m.pageSize) }

@@ -3,8 +3,6 @@ package memory
 import (
 	"testing"
 	"testing/quick"
-
-	"vmp/internal/sim"
 )
 
 func TestGeometry(t *testing.T) {
@@ -134,25 +132,6 @@ func TestAllocDeterministicOrder(t *testing.T) {
 		f, _ := m.AllocFrame()
 		if f != want {
 			t.Errorf("alloc order: got %d, want %d", f, want)
-		}
-	}
-}
-
-func TestBlockTime(t *testing.T) {
-	tm := DefaultTiming()
-	cases := []struct {
-		bytes int
-		want  sim.Time
-	}{
-		{4, 300},
-		{128, 300 + 31*100},
-		{256, 300 + 63*100},
-		{512, 300 + 127*100},
-		{0, 0},
-	}
-	for _, c := range cases {
-		if got := tm.BlockTime(c.bytes); got != c.want {
-			t.Errorf("BlockTime(%d) = %v, want %v", c.bytes, got, c.want)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"vmp/internal/bus"
 	"vmp/internal/sim"
+	"vmp/internal/stats"
 )
 
 // Model-based test: random sequences of action-table updates and bus
@@ -99,6 +100,8 @@ func TestFIFOModelSequence(t *testing.T) {
 	// The FIFO against a plain slice queue, including overflow.
 	const depth = 8
 	m := New(0, 32, 256, depth, nil)
+	rec := stats.NewRecorder()
+	m.BindRecorder(rec, "")
 	var ref []Word
 	dropped := 0
 	rnd := sim.NewRand(5)
@@ -128,8 +131,8 @@ func TestFIFOModelSequence(t *testing.T) {
 			t.Fatalf("step %d: pending %d, ref %d", step, m.Pending(), len(ref))
 		}
 	}
-	if st := m.Stats(); st.Dropped != uint64(dropped) {
-		t.Errorf("dropped %d, ref %d", st.Dropped, dropped)
+	if got := rec.Value("dropped-words"); got != int64(dropped) {
+		t.Errorf("dropped %d, ref %d", got, dropped)
 	}
 	if (dropped > 0) != m.Dropped() {
 		t.Errorf("dropped flag %v with %d drops", m.Dropped(), dropped)

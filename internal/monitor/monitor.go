@@ -59,14 +59,6 @@ type Word struct {
 // DefaultFIFODepth is the prototype's FIFO capacity.
 const DefaultFIFODepth = 128
 
-// Stats counts monitor activity.
-type Stats struct {
-	Checks     uint64 // transactions inspected
-	Aborts     uint64 // aborts signalled
-	Interrupts uint64 // words enqueued
-	Dropped    uint64 // words lost to FIFO overflow
-}
-
 // monitorCounters is the recorder-backed counter set for one monitor.
 type monitorCounters struct {
 	checks, aborts, interrupts, droppedWords *stats.Counter
@@ -163,16 +155,6 @@ func (m *Monitor) BoardID() int { return m.boardID }
 // SetInterruptLine registers fn to be called whenever a word is
 // enqueued (the non-maskable interrupt to the processor).
 func (m *Monitor) SetInterruptLine(fn func()) { m.onPost = fn }
-
-// Stats returns a copy of the counters.
-func (m *Monitor) Stats() Stats {
-	return Stats{
-		Checks:     uint64(m.ctr.checks.Value()),
-		Aborts:     uint64(m.ctr.aborts.Value()),
-		Interrupts: uint64(m.ctr.interrupts.Value()),
-		Dropped:    uint64(m.ctr.droppedWords.Value()),
-	}
-}
 
 // frame converts a physical address to its frame number.
 func (m *Monitor) frame(paddr uint32) int { return int(paddr) / m.pageSize }
@@ -297,9 +279,6 @@ func (m *Monitor) ClearDropped() { m.dropped = false }
 func (m *Monitor) Drain() {
 	m.head, m.n = 0, 0
 }
-
-// Frames returns the number of frames the action table covers.
-func (m *Monitor) Frames() int { return m.frames }
 
 // ForEach calls fn for every frame whose action-table entry is not
 // Ignore, in frame order. Used by the invariant watchdog's quiescent

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"vmp/internal/bus"
+	"vmp/internal/stats"
 )
 
 const (
@@ -194,6 +195,8 @@ func TestFIFOOrder(t *testing.T) {
 
 func TestFIFOOverflow(t *testing.T) {
 	m := New(0, frames, pageSize, 4, nil)
+	rec := stats.NewRecorder()
+	m.BindRecorder(rec, "")
 	for i := 0; i < 6; i++ {
 		m.Post(tx(bus.ReadPrivate, uint32(i)*pageSize, 1))
 	}
@@ -203,9 +206,8 @@ func TestFIFOOverflow(t *testing.T) {
 	if !m.Dropped() {
 		t.Error("overflow flag not set")
 	}
-	st := m.Stats()
-	if st.Dropped != 2 || st.Interrupts != 4 {
-		t.Errorf("stats %+v", st)
+	if d, n := rec.Value("dropped-words"), rec.Value("interrupts"); d != 2 || n != 4 {
+		t.Errorf("dropped %d, interrupts %d; want 2, 4", d, n)
 	}
 	m.ClearDropped()
 	if m.Dropped() {

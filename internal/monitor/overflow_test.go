@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"vmp/internal/bus"
+	"vmp/internal/stats"
 )
 
 // fixedStorm injects a fixed number of duplicate words per post.
@@ -19,6 +20,8 @@ func post(m *Monitor, paddr uint32) {
 
 func TestDepthLimitOverflow(t *testing.T) {
 	m := New(0, frames, pageSize, 8, nil)
+	rec := stats.NewRecorder()
+	m.BindRecorder(rec, "")
 	m.SetDepthLimit(2)
 
 	post(m, 0x1000)
@@ -42,8 +45,8 @@ func TestDepthLimitOverflow(t *testing.T) {
 	if w.PAddr != 0x2000 {
 		t.Fatalf("second pop = %+v", w)
 	}
-	if s := m.Stats(); s.Dropped != 1 || s.Interrupts != 2 {
-		t.Fatalf("stats = %+v, want 1 dropped / 2 enqueued", s)
+	if d, n := rec.Value("dropped-words"), rec.Value("interrupts"); d != 1 || n != 2 {
+		t.Fatalf("dropped %d, enqueued %d; want 1 dropped / 2 enqueued", d, n)
 	}
 
 	// ClearDropped resets the flag without touching the queue.

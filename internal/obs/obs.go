@@ -233,7 +233,7 @@ func (e Event) String() string {
 const eventWireSize = 26
 
 // AppendBinary appends the event's fixed-size little-endian encoding,
-// used by Encode and by the serial==parallel byte-identity tests.
+// hashed by Digest for the serial==parallel byte-identity checks.
 func (e Event) AppendBinary(dst []byte) []byte {
 	var buf [eventWireSize]byte
 	binary.LittleEndian.PutUint64(buf[0:], uint64(e.Time))
@@ -245,22 +245,6 @@ func (e Event) AppendBinary(dst []byte) []byte {
 	buf[24] = e.Arg
 	buf[25] = e.Flags
 	return append(dst, buf[:]...)
-}
-
-// Encode writes the fixed-size binary encoding of events to w.
-func Encode(w io.Writer, events []Event) error {
-	buf := make([]byte, 0, 4096)
-	for _, e := range events {
-		buf = e.AppendBinary(buf)
-		if len(buf) >= 4096-eventWireSize {
-			if _, err := w.Write(buf); err != nil {
-				return err
-			}
-			buf = buf[:0]
-		}
-	}
-	_, err := w.Write(buf)
-	return err
 }
 
 // PageStat is the consistency-traffic attribution for one cache page.

@@ -29,15 +29,15 @@ func TestEncodeRoundTrip(t *testing.T) {
 		{Time: 2500, Kind: KindIntr, Board: 0, Arg: 2},
 		{Time: 1 << 40, Dur: 17, PAddr: 0xffff_ff00, Board: NoBoard, Kind: KindPhase, Arg: uint8(PhaseMiss), Flags: FlagAborted | FlagNested},
 	}
-	var buf bytes.Buffer
-	if err := Encode(&buf, events); err != nil {
-		t.Fatal(err)
+	var buf []byte
+	for _, e := range events {
+		buf = e.AppendBinary(buf)
 	}
-	if buf.Len() != len(events)*eventWireSize {
-		t.Fatalf("encoded %d bytes, want %d", buf.Len(), len(events)*eventWireSize)
+	if len(buf) != len(events)*eventWireSize {
+		t.Fatalf("encoded %d bytes, want %d", len(buf), len(events)*eventWireSize)
 	}
 	for i, want := range events {
-		got := decodeEvent(buf.Bytes()[i*eventWireSize:])
+		got := decodeEvent(buf[i*eventWireSize:])
 		if got != want {
 			t.Errorf("event %d round-trip: got %+v, want %+v", i, got, want)
 		}

@@ -267,13 +267,26 @@ func boardRefs(s *Spec, i int) ([]trace.Ref, error) {
 		return nil, fmt.Errorf("scenario: boardRefs on workload kind %q", w.Kind)
 	}
 	asid := uint8(i + 1)
+	shift := kernelSliceShift(s.Machine.Processors)
 	for j := range refs {
 		refs[j].ASID = asid
 		if !w.ShareKernel && refs[j].VAddr >= workload.KernelCodeBase {
-			refs[j].VAddr += uint32(i) << 24
+			refs[j].VAddr += uint32(i) << shift
 		}
 	}
 	return refs, nil
+}
+
+// kernelSliceShift is log2 of the per-board kernel-region stride: 16 MB
+// up to 8 boards, halved at each doubling beyond, so the boards' slices
+// of the kernel code, data and stack regions neither overlap one
+// another nor wrap past the top of the address space.
+func kernelSliceShift(boards int) uint {
+	shift := uint(24)
+	for per := 8; per < boards; per *= 2 {
+		shift--
+	}
+	return shift
 }
 
 // attachTraces attaches a trace-driven CPU (or, with a scheduler spec,

@@ -278,6 +278,10 @@ func (s *Spec) Normalize() error {
 	if w.Refs < 0 {
 		return fmt.Errorf("scenario: negative refs %d", w.Refs)
 	}
+	// Board i runs in ASID i+1, and ASID 0xff is the kernel's.
+	if w.Kind != WorkloadNone && m.Processors > 254 {
+		return fmt.Errorf("scenario: %d processors exceeds the 254 usable ASIDs of a %q workload", m.Processors, w.Kind)
+	}
 
 	if k := s.Kernel; k != nil {
 		if k.UncachedPages == 0 {

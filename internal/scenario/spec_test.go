@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -273,4 +275,55 @@ func TestParseSpecUnknownField(t *testing.T) {
 	if _, err := ParseSpec([]byte(`{"machine": {"procesors": 4}}`)); err == nil {
 		t.Fatal("ParseSpec accepted an unknown field")
 	}
+}
+
+// FuzzSpec fuzzes the Spec JSON boundary: any document ParseSpec
+// accepts and Normalize validates has a canonical form that is a fixed
+// point (re-parsing and re-canonicalizing it changes nothing) and a
+// fingerprint that survives the round trip.
+func FuzzSpec(f *testing.F) {
+	files, err := filepath.Glob(filepath.Join("..", "..", "scenarios", "*.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, name := range files {
+		data, err := os.ReadFile(name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	full, err := json.Marshal(fullSpec())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(full)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := ParseSpec(data)
+		if err != nil {
+			return
+		}
+		canon, err := s.Canonical()
+		if err != nil {
+			return
+		}
+		fp, err := s.Fingerprint()
+		if err != nil {
+			t.Fatalf("canonical form but no fingerprint: %v", err)
+		}
+		back, err := ParseSpec(canon)
+		if err != nil {
+			t.Fatalf("canonical form does not re-parse: %v\n%s", err, canon)
+		}
+		again, err := back.Canonical()
+		if err != nil {
+			t.Fatalf("canonical form does not re-normalize: %v\n%s", err, canon)
+		}
+		if !bytes.Equal(again, canon) {
+			t.Fatalf("canonical form is not a fixed point:\n%s\n%s", canon, again)
+		}
+		if fp2, err := back.Fingerprint(); err != nil || fp2 != fp {
+			t.Fatalf("fingerprint %s became %s (%v) across the round trip", fp, fp2, err)
+		}
+	})
 }

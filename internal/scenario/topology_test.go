@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
+
+	"vmp/internal/workload"
 )
 
 // TestTopologyFingerprintCompat pins the stanza's normalization rules:
@@ -132,5 +134,62 @@ func TestRunGridMultiBusSerialParallel(t *testing.T) {
 		if c.Summary.Digest == "" {
 			t.Errorf("cell %s has no digest", c.Name)
 		}
+	}
+}
+
+// TestKernelSlicesDisjoint: with the kernel region sliced per board, no
+// 4 KB kernel page is touched by two boards and no kernel reference
+// wraps past the top of the address space, at 16 and 64 boards on
+// every profile. A 255-board spec is rejected: ASID i+1 would reach
+// the kernel's 0xff.
+func TestKernelSlicesDisjoint(t *testing.T) {
+	const refs = 40_000
+	for _, boards := range []int{16, 64} {
+		for _, p := range workload.Profiles() {
+			s := Spec{
+				Machine:  MachineSpec{Processors: boards},
+				Workload: WorkloadSpec{Profile: string(p), Refs: refs},
+			}
+			if err := s.Normalize(); err != nil {
+				t.Fatal(err)
+			}
+			owner := make(map[uint32]int)
+			shared := make(map[uint32]bool)
+			wrapped := 0
+			for i := 0; i < boards; i++ {
+				sliced, err := boardRefs(&s, i)
+				if err != nil {
+					t.Fatal(err)
+				}
+				orig, err := workload.Generate(p, s.Seed+uint64(i)*31, refs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for j, r := range sliced {
+					if orig[j].VAddr < workload.KernelCodeBase {
+						continue
+					}
+					if r.VAddr < orig[j].VAddr {
+						wrapped++
+						continue
+					}
+					page := r.VAddr >> 12
+					if b, ok := owner[page]; !ok {
+						owner[page] = i
+					} else if b != i {
+						shared[page] = true
+					}
+				}
+			}
+			if len(shared) != 0 || wrapped != 0 {
+				t.Errorf("%d boards, %s: %d kernel pages touched by more than one board, %d wrapped kernel refs",
+					boards, p, len(shared), wrapped)
+			}
+		}
+	}
+
+	s := Spec{Machine: MachineSpec{Processors: 255}}
+	if err := s.Normalize(); err == nil {
+		t.Error("255-board profile spec accepted")
 	}
 }

@@ -244,19 +244,6 @@ func (c *Client) CellResult(ctx context.Context, fp string) (*scenario.CellResul
 	return &cr, nil
 }
 
-// Cancel cancels a job.
-func (c *Client) Cancel(ctx context.Context, id string) (*JobView, error) {
-	data, err := c.do(ctx, "DELETE", "/v1/jobs/"+url.PathEscape(id), nil)
-	if err != nil {
-		return nil, err
-	}
-	var v JobView
-	if err := json.Unmarshal(data, &v); err != nil {
-		return nil, err
-	}
-	return &v, nil
-}
-
 // Stats fetches the daemon's /statsz counters.
 func (c *Client) Stats(ctx context.Context) (*StatsView, error) {
 	data, err := c.do(ctx, "GET", "/statsz", nil)
@@ -268,10 +255,4 @@ func (c *Client) Stats(ctx context.Context) (*StatsView, error) {
 		return nil, err
 	}
 	return &sv, nil
-}
-
-// Healthy reports whether the daemon answers /healthz with 200.
-func (c *Client) Healthy(ctx context.Context) bool {
-	_, err := c.do(ctx, "GET", "/healthz", nil)
-	return err == nil
 }

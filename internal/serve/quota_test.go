@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"net/http/httptest"
 	"testing"
 	"time"
 )
@@ -75,5 +76,31 @@ func TestQuotaBurstFloor(t *testing.T) {
 	q := withClock(NewQuotas(1, 0), newFakeClock())
 	if ok, _ := q.Allow("c"); !ok {
 		t.Fatal("burst<1 must normalize to a bucket that can admit")
+	}
+}
+
+// TestBudgetForClamps: ?budget_ms= is clamped to [50ms, MaxJobBudget]
+// without overflowing, and a non-positive or unparsable value falls
+// back to the default budget.
+func TestBudgetForClamps(t *testing.T) {
+	s := &Server{cfg: Config{JobBudget: 2 * time.Minute, MaxJobBudget: 10 * time.Minute}}
+	for _, c := range []struct {
+		q    string
+		want time.Duration
+	}{
+		{"", 2 * time.Minute},
+		{"0", 2 * time.Minute},
+		{"-5", 2 * time.Minute},
+		{"junk", 2 * time.Minute},
+		{"10", 50 * time.Millisecond},
+		{"1500", 1500 * time.Millisecond},
+		{"600000", 10 * time.Minute},
+		{"9300000000000", 10 * time.Minute},
+		{"9223372036854775807", 10 * time.Minute},
+	} {
+		r := httptest.NewRequest("POST", "/v1/jobs?budget_ms="+c.q, nil)
+		if got := s.budgetFor(r); got != c.want {
+			t.Errorf("budget_ms=%q: got %v, want %v", c.q, got, c.want)
+		}
 	}
 }

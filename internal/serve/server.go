@@ -196,9 +196,6 @@ func New(cfg Config) (*Server, error) {
 // /metricsz page.
 func (s *Server) Metrics() *telemetry.Registry { return s.reg }
 
-// Store exposes the underlying result store (tests, tooling).
-func (s *Server) Store() *Store { return s.store }
-
 // SetShedding toggles load-shedding mode: compute submissions are
 // rejected with 429 while cache hits keep being served.
 func (s *Server) SetShedding(on bool) { s.shedding.Store(on) }
@@ -631,12 +628,16 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request) bool {
 }
 
 // budgetFor resolves the job budget: ?budget_ms= clamped to
-// [1s, MaxJobBudget], defaulting to JobBudget.
+// [50ms, MaxJobBudget], defaulting to JobBudget.
 func (s *Server) budgetFor(r *http.Request) time.Duration {
 	b := s.cfg.JobBudget
 	if q := r.URL.Query().Get("budget_ms"); q != "" {
-		if ms, err := strconv.Atoi(q); err == nil && ms > 0 {
-			b = time.Duration(ms) * time.Millisecond
+		if ms, err := strconv.ParseInt(q, 10, 64); err == nil && ms > 0 {
+			// Clamp before scaling: a huge count would overflow Duration.
+			b = s.cfg.MaxJobBudget
+			if ms < int64(b/time.Millisecond) {
+				b = time.Duration(ms) * time.Millisecond
+			}
 		}
 	}
 	if b < 50*time.Millisecond {

@@ -111,9 +111,6 @@ func OpenStore(dir string) (*Store, error) {
 	return s, nil
 }
 
-// Root returns the store's root directory.
-func (s *Store) Root() string { return s.root }
-
 // Stats snapshots the store counters.
 func (s *Store) Stats() StoreStats {
 	return StoreStats{

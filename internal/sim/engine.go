@@ -98,10 +98,9 @@ func (m Metrics) SimNsPerWallMs(now Time) float64 {
 // Engine is a discrete-event simulation engine. The zero value is ready
 // to use.
 type Engine struct {
-	now     Time
-	queue   []*event // binary heap ordered by (at, seq)
-	seq     uint64
-	stopped bool
+	now   Time
+	queue []*event // binary heap ordered by (at, seq)
+	seq   uint64
 	// procs counts live processes, used to detect leaked coroutines.
 	procs int
 
@@ -138,11 +137,6 @@ func (e *Engine) Recorder() *stats.Recorder {
 	}
 	return e.rec
 }
-
-// SetRecorder replaces the engine's metrics sink. Call before building
-// components on the engine; counters already handed out keep pointing
-// at the old sink.
-func (e *Engine) SetRecorder(r *stats.Recorder) { e.rec = r }
 
 // Metrics returns a snapshot of the engine's event-loop measurements.
 func (e *Engine) Metrics() Metrics { return e.metrics }
@@ -261,10 +255,6 @@ func (e *Engine) pop() *event {
 	return top
 }
 
-// Stop makes the current Run call return after the in-flight event
-// completes.
-func (e *Engine) Stop() { e.stopped = true }
-
 // SetCancelCheck installs a host-side cancellation probe: every n fired
 // events the engine calls f, and when f reports true the current Run
 // returns after the in-flight event. Pass (0, nil) to uninstall. The
@@ -284,12 +274,12 @@ func (e *Engine) SetCancelCheck(n uint64, f func() bool) {
 // Pending reports the number of queued events.
 func (e *Engine) Pending() int { return len(e.queue) }
 
-// Run processes events in order until the queue is empty or Stop is
-// called. It returns the final simulated time.
+// Run processes events in order until the queue is empty (or an
+// installed cancel check trips). It returns the final simulated time.
 func (e *Engine) Run() Time { return e.RunUntil(-1) }
 
-// RunUntil processes events until the queue is empty, Stop is called, or
-// the next event would fire after deadline (deadline < 0 means no
+// RunUntil processes events until the queue is empty, the cancel check
+// trips, or the next event would fire after deadline (deadline < 0 means no
 // deadline). Events exactly at the deadline still fire. The clock is
 // advanced to the deadline if it is reached.
 func (e *Engine) RunUntil(deadline Time) Time {
@@ -297,8 +287,7 @@ func (e *Engine) RunUntil(deadline Time) Time {
 	start := time.Now()
 	//vmplint:allow simclock wall-clock measurement only: Metrics.Wall reports host cost and never feeds simulated state
 	defer func() { e.metrics.Wall += time.Since(start) }()
-	e.stopped = false
-	for len(e.queue) > 0 && !e.stopped {
+	for len(e.queue) > 0 {
 		next := e.queue[0]
 		if deadline >= 0 && next.at > deadline {
 			e.now = deadline

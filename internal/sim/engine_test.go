@@ -92,22 +92,6 @@ func TestEngineRunUntilAdvancesClockWithoutEvents(t *testing.T) {
 	}
 }
 
-func TestEngineStop(t *testing.T) {
-	e := NewEngine()
-	fired := 0
-	e.Schedule(10, func() { fired++; e.Stop() })
-	e.Schedule(20, func() { fired++ })
-	e.Run()
-	if fired != 1 {
-		t.Errorf("fired %d, want 1 (Stop should halt the loop)", fired)
-	}
-	// Run again resumes with the remaining event.
-	e.Run()
-	if fired != 2 {
-		t.Errorf("fired %d after resume, want 2", fired)
-	}
-}
-
 func TestEngineSchedulePastPanics(t *testing.T) {
 	e := NewEngine()
 	e.Schedule(10, func() {

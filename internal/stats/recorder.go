@@ -15,15 +15,11 @@ import "sort"
 // use separate Recorders and may proceed in parallel.
 type Recorder struct {
 	counters map[string]*Counter
-	gauges   map[string]*Gauge
 }
 
 // NewRecorder returns an empty metrics sink.
 func NewRecorder() *Recorder {
-	return &Recorder{
-		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
-	}
+	return &Recorder{counters: make(map[string]*Counter)}
 }
 
 // Counter is a monotonically named int64 cell. A nil Counter discards
@@ -51,40 +47,12 @@ func (c *Counter) Value() int64 {
 	return c.v
 }
 
-// Reset zeroes the counter.
-func (c *Counter) Reset() {
-	if c != nil {
-		c.v = 0
-	}
-}
-
 // Name returns the registered name.
 func (c *Counter) Name() string {
 	if c == nil {
 		return ""
 	}
 	return c.name
-}
-
-// Gauge tracks the maximum of an observed int64 series.
-type Gauge struct {
-	name string
-	v    int64
-}
-
-// Observe records v, keeping the maximum seen.
-func (g *Gauge) Observe(v int64) {
-	if g != nil && v > g.v {
-		g.v = v
-	}
-}
-
-// Value returns the maximum observed (0 for a nil Gauge).
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v
 }
 
 // Counter returns the named counter, registering it on first use.
@@ -101,31 +69,14 @@ func (r *Recorder) Counter(name string) *Counter {
 	return c
 }
 
-// Gauge returns the named max-tracking gauge, registering it on first
-// use. Calling Gauge on a nil Recorder returns a nil handle.
-func (r *Recorder) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	if g, ok := r.gauges[name]; ok {
-		return g
-	}
-	g := &Gauge{name: name}
-	r.gauges[name] = g
-	return g
-}
-
-// Value returns the current value of a named counter or gauge (counters
-// shadow gauges), or 0 if neither exists.
+// Value returns the current value of a named counter, or 0 if it does
+// not exist.
 func (r *Recorder) Value(name string) int64 {
 	if r == nil {
 		return 0
 	}
 	if c, ok := r.counters[name]; ok {
 		return c.v
-	}
-	if g, ok := r.gauges[name]; ok {
-		return g.v
 	}
 	return 0
 }
@@ -136,18 +87,15 @@ type Metric struct {
 	Value int64
 }
 
-// Snapshot returns every registered counter and gauge, sorted by name,
+// Snapshot returns every registered counter, sorted by name,
 // so two identical runs render identical summaries.
 func (r *Recorder) Snapshot() []Metric {
 	if r == nil {
 		return nil
 	}
-	out := make([]Metric, 0, len(r.counters)+len(r.gauges))
+	out := make([]Metric, 0, len(r.counters))
 	for _, c := range r.counters {
 		out = append(out, Metric{Name: c.name, Value: c.v})
-	}
-	for _, g := range r.gauges {
-		out = append(out, Metric{Name: g.name, Value: g.v})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out

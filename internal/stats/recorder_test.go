@@ -16,21 +16,6 @@ func TestRecorderCounters(t *testing.T) {
 	if got := r.Value("bus/aborts"); got != 5 {
 		t.Errorf("Value = %d, want 5", got)
 	}
-	c.Reset()
-	if c.Value() != 0 {
-		t.Error("Reset did not zero the counter")
-	}
-}
-
-func TestRecorderGauge(t *testing.T) {
-	r := NewRecorder()
-	g := r.Gauge("engine/max-depth")
-	g.Observe(3)
-	g.Observe(9)
-	g.Observe(5)
-	if got := g.Value(); got != 9 {
-		t.Fatalf("gauge = %d, want 9", got)
-	}
 }
 
 func TestRecorderNilSafe(t *testing.T) {
@@ -39,11 +24,6 @@ func TestRecorderNilSafe(t *testing.T) {
 	c.Inc() // must not panic
 	if c.Value() != 0 {
 		t.Error("nil counter accumulated")
-	}
-	g := r.Gauge("y")
-	g.Observe(7)
-	if g.Value() != 0 {
-		t.Error("nil gauge accumulated")
 	}
 	if r.Snapshot() != nil {
 		t.Error("nil recorder snapshot non-nil")
@@ -54,7 +34,7 @@ func TestRecorderSnapshotSorted(t *testing.T) {
 	r := NewRecorder()
 	r.Counter("z").Add(1)
 	r.Counter("a").Add(2)
-	r.Gauge("m").Observe(3)
+	r.Counter("m").Add(3)
 	snap := r.Snapshot()
 	if len(snap) != 3 {
 		t.Fatalf("snapshot len %d, want 3", len(snap))

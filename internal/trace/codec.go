@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"strings"
 )
 
 // Binary trace format: an 8-byte header "VMPTRC1\n" followed by one
@@ -102,66 +101,6 @@ func WriteText(w io.Writer, refs []Ref) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// ParseText reads a text-format trace. Blank lines and lines beginning
-// with '#' are skipped.
-func ParseText(r io.Reader) ([]Ref, error) {
-	var refs []Ref
-	sc := bufio.NewScanner(r)
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
-			continue
-		}
-		ref, err := parseTextLine(text)
-		if err != nil {
-			return nil, fmt.Errorf("trace: line %d: %w", line, err)
-		}
-		refs = append(refs, ref)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return refs, nil
-}
-
-func parseTextLine(text string) (Ref, error) {
-	fields := strings.Fields(text)
-	if len(fields) != 4 {
-		return Ref{}, fmt.Errorf("want 4 fields, got %d", len(fields))
-	}
-	var r Ref
-	switch fields[0] {
-	case "I":
-		r.Kind = IFetch
-	case "R":
-		r.Kind = Read
-	case "W":
-		r.Kind = Write
-	default:
-		return Ref{}, fmt.Errorf("bad kind %q", fields[0])
-	}
-	switch fields[1] {
-	case "u":
-	case "s":
-		r.Super = true
-	default:
-		return Ref{}, fmt.Errorf("bad mode %q", fields[1])
-	}
-	var asid int
-	if _, err := fmt.Sscanf(fields[2], "%d", &asid); err != nil || asid < 0 || asid > 255 {
-		return Ref{}, fmt.Errorf("bad asid %q", fields[2])
-	}
-	r.ASID = uint8(asid)
-	var addr uint32
-	if _, err := fmt.Sscanf(fields[3], "0x%x", &addr); err != nil {
-		return Ref{}, fmt.Errorf("bad address %q", fields[3])
-	}
-	r.VAddr = addr
-	return r, nil
 }
 
 // WriteBinaryGzip writes refs in the binary format, gzip-compressed.

@@ -73,14 +73,6 @@ func (s *Stats) SupervisorFraction() float64 {
 	return float64(s.Supervisor) / float64(s.Refs)
 }
 
-// WriteFraction returns the fraction of references that are writes.
-func (s *Stats) WriteFraction() float64 {
-	if s.Refs == 0 {
-		return 0
-	}
-	return float64(s.Writes) / float64(s.Refs)
-}
-
 // Footprint returns the touched memory in bytes for the given page
 // size (unique pages × page size), or 0 if that size was not gathered.
 func (s *Stats) Footprint(pageSize int) int {

@@ -8,8 +8,8 @@
 // references and a small degree of multiprogramming).
 //
 // Traces can be streamed from generators (package workload), from memory
-// (SliceSource), or from files in a compact binary format or a readable
-// text format.
+// (SliceSource), or from files in a compact binary format; a readable
+// text format is written for inspection.
 package trace
 
 import "fmt"
@@ -88,9 +88,6 @@ func (s *SliceSource) Next() (Ref, bool) {
 	return r, true
 }
 
-// Reset rewinds the source to the beginning.
-func (s *SliceSource) Reset() { s.pos = 0 }
-
 // Len returns the total number of references in the slice.
 func (s *SliceSource) Len() int { return len(s.refs) }
 
@@ -108,63 +105,6 @@ func Collect(src Source, max int) []Ref {
 		}
 		out = append(out, r)
 	}
-}
-
-// Limit wraps a source, truncating it after n references.
-func Limit(src Source, n int) Source { return &limitSource{src: src, left: n} }
-
-type limitSource struct {
-	src  Source
-	left int
-}
-
-func (l *limitSource) Next() (Ref, bool) {
-	if l.left <= 0 {
-		return Ref{}, false
-	}
-	l.left--
-	return l.src.Next()
-}
-
-// Filter wraps a source, passing through only references for which keep
-// returns true.
-func Filter(src Source, keep func(Ref) bool) Source {
-	return &filterSource{src: src, keep: keep}
-}
-
-type filterSource struct {
-	src  Source
-	keep func(Ref) bool
-}
-
-func (f *filterSource) Next() (Ref, bool) {
-	for {
-		r, ok := f.src.Next()
-		if !ok {
-			return Ref{}, false
-		}
-		if f.keep(r) {
-			return r, true
-		}
-	}
-}
-
-// Concat chains sources back to back.
-func Concat(srcs ...Source) Source { return &concatSource{srcs: srcs} }
-
-type concatSource struct {
-	srcs []Source
-}
-
-func (c *concatSource) Next() (Ref, bool) {
-	for len(c.srcs) > 0 {
-		r, ok := c.srcs[0].Next()
-		if ok {
-			return r, true
-		}
-		c.srcs = c.srcs[1:]
-	}
-	return Ref{}, false
 }
 
 // Interleave round-robins between sources with the given burst lengths:

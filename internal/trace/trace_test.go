@@ -43,10 +43,6 @@ func TestSliceSource(t *testing.T) {
 	if _, ok := src.Next(); ok {
 		t.Error("Next after exhaustion returned ok")
 	}
-	src.Reset()
-	if r, ok := src.Next(); !ok || r != sample()[0] {
-		t.Errorf("after Reset got %v, %v", r, ok)
-	}
 }
 
 func TestBinaryRoundTrip(t *testing.T) {
@@ -134,86 +130,33 @@ func TestBinaryBadKind(t *testing.T) {
 	}
 }
 
+// TestTextRoundTrip pins WriteText's format (tracegen's -text output):
+// one Ref.String line per reference.
 func TestTextRoundTrip(t *testing.T) {
-	refs := sample()
 	var buf bytes.Buffer
-	if err := WriteText(&buf, refs); err != nil {
+	if err := WriteText(&buf, sample()); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ParseText(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(refs) {
-		t.Fatalf("got %d, want %d", len(got), len(refs))
-	}
-	for i := range refs {
-		if got[i] != refs[i] {
-			t.Errorf("ref %d: got %v, want %v", i, got[i], refs[i])
-		}
+	const want = `I u 1 0x00001000
+R u 1 0x00002000
+W s 2 0xdeadbeef
+R s 0 0x00000000
+I u 255 0xffffffff
+`
+	if got := buf.String(); got != want {
+		t.Errorf("WriteText wrote\n%s\nwant\n%s", got, want)
 	}
 }
 
-func TestParseTextCommentsAndBlank(t *testing.T) {
-	in := "# header\n\nI u 1 0x00001000\n  \nR s 0 0x00000004\n"
-	got, err := ParseText(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 {
-		t.Fatalf("got %d refs, want 2", len(got))
-	}
-	if !got[1].Super || got[1].Kind != Read {
-		t.Errorf("second ref wrong: %v", got[1])
-	}
-}
-
-func TestParseTextErrors(t *testing.T) {
-	bad := []string{
-		"X u 1 0x0",
-		"I z 1 0x0",
-		"I u 999 0x0",
-		"I u 1 zz",
-		"I u 1",
-	}
-	for _, line := range bad {
-		if _, err := ParseText(strings.NewReader(line)); err == nil {
-			t.Errorf("ParseText(%q) accepted", line)
-		}
-	}
-}
-
+// TestLimit: Collect stops at its limit, leaving the rest of the
+// stream unread.
 func TestLimit(t *testing.T) {
-	src := Limit(NewSliceSource(sample()), 2)
-	if got := Collect(src, 0); len(got) != 2 {
-		t.Errorf("Limit gave %d refs, want 2", len(got))
+	src := NewSliceSource(sample())
+	if got := Collect(src, 2); len(got) != 2 || got[1] != sample()[1] {
+		t.Fatalf("Collect(src, 2) = %v", got)
 	}
-}
-
-func TestFilter(t *testing.T) {
-	src := Filter(NewSliceSource(sample()), func(r Ref) bool { return r.Super })
-	got := Collect(src, 0)
-	if len(got) != 2 {
-		t.Fatalf("filter gave %d refs, want 2", len(got))
-	}
-	for _, r := range got {
-		if !r.Super {
-			t.Errorf("non-supervisor ref passed filter: %v", r)
-		}
-	}
-}
-
-func TestConcat(t *testing.T) {
-	a := NewSliceSource(sample()[:2])
-	b := NewSliceSource(sample()[2:])
-	got := Collect(Concat(a, b), 0)
-	if len(got) != 5 {
-		t.Fatalf("concat gave %d refs, want 5", len(got))
-	}
-	for i, r := range got {
-		if r != sample()[i] {
-			t.Errorf("ref %d mismatch", i)
-		}
+	if r, ok := src.Next(); !ok || r != sample()[2] {
+		t.Errorf("next ref after the limit = %v, %v; want %v", r, ok, sample()[2])
 	}
 }
 
@@ -265,9 +208,6 @@ func TestSummarize(t *testing.T) {
 	if got := st.SupervisorFraction(); got != 0.4 {
 		t.Errorf("SupervisorFraction = %v, want 0.4", got)
 	}
-	if got := st.WriteFraction(); got != 0.2 {
-		t.Errorf("WriteFraction = %v, want 0.2", got)
-	}
 	if len(st.ASIDs) != 4 {
 		t.Errorf("asids = %d, want 4", len(st.ASIDs))
 	}
@@ -289,7 +229,7 @@ func TestSummarizeMax(t *testing.T) {
 
 func TestStatsEmpty(t *testing.T) {
 	st := Summarize(NewSliceSource(nil), 0)
-	if st.SupervisorFraction() != 0 || st.WriteFraction() != 0 {
+	if st.SupervisorFraction() != 0 {
 		t.Error("empty stats fractions nonzero")
 	}
 	_ = st.String()
@@ -334,4 +274,48 @@ func TestOpenBinaryTruncated(t *testing.T) {
 	if _, err := OpenBinary(strings.NewReader("x")); err == nil {
 		t.Error("truncated stream accepted")
 	}
+}
+
+// FuzzBinaryTrace fuzzes the binary trace reader: OpenBinary never
+// panics on arbitrary bytes, plain or gzip-framed, and whatever refs it
+// decodes survive a WriteBinary round trip unchanged.
+func FuzzBinaryTrace(f *testing.F) {
+	var plain, gz bytes.Buffer
+	if err := WriteBinary(&plain, sample()); err != nil {
+		f.Fatal(err)
+	}
+	if err := WriteBinaryGzip(&gz, sample()); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(plain.Bytes())
+	f.Add(gz.Bytes())
+	f.Add([]byte(binaryMagic))
+	f.Add([]byte("NOTATRACE"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		br, err := OpenBinary(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		refs := Collect(br, 1<<16) // bounds a decompression bomb
+		var out bytes.Buffer
+		if err := WriteBinary(&out, refs); err != nil {
+			t.Fatal(err)
+		}
+		back, err := OpenBinary(&out)
+		if err != nil {
+			t.Fatalf("re-reading %d written refs: %v", len(refs), err)
+		}
+		got := Collect(back, 0)
+		if err := back.Err(); err != nil {
+			t.Fatalf("re-reading %d written refs: %v", len(refs), err)
+		}
+		if len(got) != len(refs) {
+			t.Fatalf("round trip kept %d of %d refs", len(got), len(refs))
+		}
+		for i := range refs {
+			if got[i] != refs[i] {
+				t.Fatalf("ref %d: %v became %v", i, refs[i], got[i])
+			}
+		}
+	})
 }

@@ -1,49 +1,10 @@
 package workload
 
-import (
-	"vmp/internal/sim"
-	"vmp/internal/trace"
-)
+import "vmp/internal/trace"
 
 // Simple deterministic reference patterns used by protocol and baseline
 // experiments. These complement the program-structured generators: they
 // isolate one access behaviour so an experiment can attribute costs.
-
-// Sequential returns n refs walking a region word by word: the best case
-// for large cache pages and block transfer.
-func Sequential(asid uint8, base uint32, n int, kind trace.Kind) []trace.Ref {
-	refs := make([]trace.Ref, n)
-	for i := range refs {
-		refs[i] = trace.Ref{Kind: kind, ASID: asid, VAddr: base + uint32(i)*4}
-	}
-	return refs
-}
-
-// Stride returns n refs separated by stride bytes: with stride >= the
-// page size, every reference misses (the worst case for large pages).
-func Stride(asid uint8, base uint32, n, stride int, kind trace.Kind) []trace.Ref {
-	refs := make([]trace.Ref, n)
-	for i := range refs {
-		refs[i] = trace.Ref{Kind: kind, ASID: asid, VAddr: base + uint32(i*stride)}
-	}
-	return refs
-}
-
-// Random returns n uniform refs over a region of size bytes, word
-// aligned, with the given write fraction.
-func Random(asid uint8, base uint32, size, n int, writeFrac float64, seed uint64) []trace.Ref {
-	r := sim.NewRand(seed)
-	refs := make([]trace.Ref, n)
-	words := size / 4
-	for i := range refs {
-		kind := trace.Read
-		if r.Bool(writeFrac) {
-			kind = trace.Write
-		}
-		refs[i] = trace.Ref{Kind: kind, ASID: asid, VAddr: base + uint32(r.Intn(words))*4}
-	}
-	return refs
-}
 
 // PingPong returns, for each of nProcs processors, a ref stream that
 // repeatedly writes then reads the same shared word — the worst-case

@@ -2,7 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"sort"
 
 	"vmp/internal/trace"
 )
@@ -36,8 +35,8 @@ func Profiles() []Profile { return []Profile{Edit, Compile, Batch, Multi} }
 // (358,000-540,000 references).
 const DefaultTraceLen = 450_000
 
-// New returns an unbounded source for the named profile. Wrap with
-// trace.Limit (or use Generate) for a finite trace.
+// New returns an unbounded source for the named profile. Use Generate
+// (or trace.Collect with a limit) for a finite trace.
 func New(p Profile, seed uint64) (trace.Source, error) {
 	switch p {
 	case Edit:
@@ -154,15 +153,4 @@ func Describe(p Profile, seed uint64, n int) (*trace.Stats, error) {
 		n = DefaultTraceLen
 	}
 	return trace.Summarize(src, n), nil
-}
-
-// SortedASIDs returns the ASIDs present in st in increasing order
-// (helper for deterministic reporting).
-func SortedASIDs(st *trace.Stats) []uint8 {
-	out := make([]uint8, 0, len(st.ASIDs))
-	for a := range st.ASIDs {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -121,8 +121,8 @@ func NewProgram(cfg ProgramConfig) *Program {
 	return p
 }
 
-// Next implements trace.Source. The stream is unbounded; wrap with
-// trace.Limit for a finite trace.
+// Next implements trace.Source. The stream is unbounded; drain it with
+// trace.Collect and a limit for a finite trace.
 func (p *Program) Next() (trace.Ref, bool) {
 	if len(p.pendingData) > 0 {
 		r := p.pendingData[0]

@@ -45,10 +45,7 @@ func NewZipf(n int, s float64) *Zipf {
 	return &Zipf{cdf: cdf}
 }
 
-// N returns the domain size.
-func (z *Zipf) N() int { return len(z.cdf) }
-
-// Sample draws one value in [0, N()).
+// Sample draws one value in [0, n).
 func (z *Zipf) Sample(r *sim.Rand) int {
 	u := r.Float64()
 	lo, hi := 0, len(z.cdf)-1
