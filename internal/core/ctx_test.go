@@ -60,25 +60,3 @@ func TestRunCtxUnfiredContextIsIdentical(t *testing.T) {
 		t.Fatalf("stats diverged with an unfired context:\n%+v %+v\nvs\n%+v %+v", csA, bsA, csB, bsB)
 	}
 }
-
-func TestSetContextCancellationPanicsCanceled(t *testing.T) {
-	m := traceMachine(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	m.SetContext(ctx)
-	defer func() {
-		r := recover()
-		c, ok := r.(Canceled)
-		if !ok {
-			t.Fatalf("recovered %T (%v), want core.Canceled", r, r)
-		}
-		if !errors.Is(c.Err, context.Canceled) {
-			t.Fatalf("Canceled.Err = %v, want context.Canceled", c.Err)
-		}
-		if live := m.Eng.Live(); live != 0 {
-			t.Fatalf("%d live processes after Canceled panic", live)
-		}
-	}()
-	m.Run()
-	t.Fatal("Run returned despite a cancelled run context")
-}

@@ -173,30 +173,7 @@ type Machine struct {
 
 	activeDrivers int
 	finishTimes   map[int]sim.Time
-
-	// runCtx, when set, is the context Run itself honors (see
-	// SetContext); nil means Run never cancels.
-	runCtx context.Context
 }
-
-// Canceled is the panic value Run raises when the context installed by
-// SetContext fires mid-run. It exists for call sites that cannot plumb
-// an error return through their driver structure (the experiments
-// registry): the run layer recovers it at its own boundary and turns
-// it back into the context's error. Code that can handle errors
-// normally should call RunCtx instead.
-type Canceled struct{ Err error }
-
-// Error implements error.
-func (c Canceled) Error() string { return "core: run canceled: " + c.Err.Error() }
-
-// SetContext installs ctx as the default run context: every subsequent
-// Run behaves like RunCtx(ctx), except that cancellation surfaces as a
-// Canceled panic (Run's signature has no error). Use it to thread
-// cancellation through drivers that call Run deep inside otherwise
-// error-free code paths; pair it with a recover boundary that unwraps
-// Canceled.
-func (m *Machine) SetContext(ctx context.Context) { m.runCtx = ctx }
 
 // NewMachine builds the machine: engine, bus, memory, VM, and one board
 // (cache + monitor + copier) per processor.
@@ -457,18 +434,10 @@ func (m *Machine) driverDone(boardID int, p *sim.Process) {
 }
 
 // Run executes the simulation until all drivers finish and every bus
-// monitor FIFO is drained, then returns the final simulated time. When
-// a context installed via SetContext fires mid-run, Run panics with
-// Canceled (see SetContext).
+// monitor FIFO is drained, then returns the final simulated time. It
+// cannot be cancelled; RunCtx can.
 func (m *Machine) Run() sim.Time {
-	ctx := m.runCtx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	t, err := m.RunCtx(ctx)
-	if err != nil {
-		panic(Canceled{Err: err})
-	}
+	t, _ := m.RunCtx(context.Background())
 	return t
 }
 

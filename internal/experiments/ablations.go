@@ -186,6 +186,20 @@ func vmpTxCount(s bus.Stats) uint64 {
 	return n
 }
 
+// replayStreams prefaults every page the streams touch and attaches
+// stream i to board i as a trace-driven CPU.
+func replayStreams(m *core.Machine, streams [][]trace.Ref) error {
+	for _, s := range streams {
+		if err := m.PrefaultTrace(s); err != nil {
+			return err
+		}
+	}
+	for i, s := range streams {
+		m.RunTrace(i, trace.NewSliceSource(s))
+	}
+	return nil
+}
+
 // runVMPStreams replays per-processor streams on a full VMP machine and
 // returns the bus statistics.
 func runVMPStreams(o Options, streams [][]trace.Ref) (bus.Stats, error) {
@@ -193,14 +207,8 @@ func runVMPStreams(o Options, streams [][]trace.Ref) (bus.Stats, error) {
 	if err != nil {
 		return bus.Stats{}, err
 	}
-	m.EnsureSpace(1)
-	for _, s := range streams {
-		if err := m.PrefaultTrace(s); err != nil {
-			return bus.Stats{}, err
-		}
-	}
-	for i, s := range streams {
-		m.RunTrace(i, trace.NewSliceSource(s))
+	if err := replayStreams(m, streams); err != nil {
+		return bus.Stats{}, err
 	}
 	m.Run()
 	if v := m.CheckInvariants(); len(v) != 0 {
@@ -387,9 +395,14 @@ func AblationTopology(o Options) (*Result, error) {
 		"Buses", "Boards/Bus", "Miss Ratio (%)", "Bus Util (%)", "Model Util (%)",
 		"Link Crossings", "Filtered Local (%)", "Mean Perf")
 	var xs, measured, modeled []float64
-	for k, buses := range g.IntAxis("topology.buses") {
+	for _, c := range cells {
+		// A single-bus cell normalizes its topology stanza away.
+		buses := 1
+		if c.Spec.Topology != nil {
+			buses = c.Spec.Topology.Buses
+		}
 		perBus := (boards + buses - 1) / buses
-		m, err := o.run(cells[k].Spec)
+		m, err := o.run(c.Spec)
 		if err != nil {
 			return nil, err
 		}

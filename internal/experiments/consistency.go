@@ -23,41 +23,17 @@ func AblationConsistency(o Options) (*Result, error) {
 		refsPer = 25_000
 	}
 	const procs = 4
-	// The shared region lives in the kernel virtual region, whose
-	// translation is common to all address spaces — so all four
-	// processors reach the same physical frames (user addresses would
-	// be private to each ASID).
-	const sharedBase = 0xd800_0000
-	const sharedPages = 16 // 4 KB of contended data
-
 	run := func(sharePct int) (missRatio, perf float64, intr uint64, err error) {
 		m, err := o.newMachine(procs, 128<<10)
 		if err != nil {
 			return 0, 0, 0, err
 		}
-		for i := 0; i < procs; i++ {
-			asid := uint8(i + 1)
-			refs, err := workload.Generate(workload.Edit, o.Seed+uint64(i)*31, refsPer)
-			if err != nil {
-				return 0, 0, 0, err
-			}
-			rnd := sim.NewRand(o.Seed*99 + uint64(i))
-			for j := range refs {
-				refs[j].ASID = asid
-				if refs[j].VAddr >= workload.KernelCodeBase {
-					refs[j].VAddr += uint32(i) << 24
-				}
-				// Redirect a fraction of data references to the shared
-				// region (reads and writes alike).
-				if refs[j].Kind != trace.IFetch && rnd.Intn(100) < sharePct {
-					refs[j].VAddr = sharedBase + uint32(rnd.Intn(sharedPages*64))*4
-					refs[j].Super = true // kernel-region access
-				}
-			}
-			if err := m.PrefaultTrace(refs); err != nil {
-				return 0, 0, 0, err
-			}
-			m.RunTrace(i, trace.NewSliceSource(refs))
+		streams, err := sharedEditTraces(o.Seed, procs, refsPer, 99, sharePct, 16) // 4 KB of contended data
+		if err != nil {
+			return 0, 0, 0, err
+		}
+		if err := replayStreams(m, streams); err != nil {
+			return 0, 0, 0, err
 		}
 		m.Run()
 		if v := m.CheckInvariants(); len(v) != 0 {
@@ -76,17 +52,12 @@ func AblationConsistency(o Options) (*Result, error) {
 
 	t := stats.NewTable("Consistency overhead as effective miss-ratio inflation (4 CPUs)",
 		"Shared Data Refs (%)", "Effective Miss Ratio (%)", "Consistency Interrupts", "Mean Performance")
-	var base float64
 	for _, pct := range []int{0, 1, 2, 5} {
 		mr, perf, words, err := run(pct)
 		if err != nil {
 			return nil, err
 		}
-		if pct == 0 {
-			base = mr
-		}
 		t.Add(pct, 100*mr, words, perf)
-		_ = base
 	}
 	t.Note = "sharing inflates the fill rate exactly as the paper's 'hypothesize a higher miss ratio' suggests"
 	return &Result{
@@ -96,4 +67,35 @@ func AblationConsistency(o Options) (*Result, error) {
 		PaperNote: "Section 5: \"consistency overhead can be incorporated in these performance " +
 			"estimates by hypothesizing a higher miss ratio than that suggested by the simulations\"",
 	}, nil
+}
+
+// sharedEditTraces builds one edit trace per board. Board i runs in
+// address space i+1 with its own 16 MB slice of the kernel region, and
+// sharePct percent of its data references (reads and writes alike) are
+// redirected to a sharedPages-page region of the kernel virtual space.
+// That region's translation is common to every address space, so all
+// boards contend for the same physical frames (user addresses would be
+// private to each ASID). seedMul seeds the redirection choices.
+func sharedEditTraces(seed uint64, procs, refsPer int, seedMul uint64, sharePct, sharedPages int) ([][]trace.Ref, error) {
+	const sharedBase = 0xd800_0000
+	streams := make([][]trace.Ref, procs)
+	for i := range streams {
+		refs, err := workload.Generate(workload.Edit, seed+uint64(i)*31, refsPer)
+		if err != nil {
+			return nil, err
+		}
+		rnd := sim.NewRand(seed*seedMul + uint64(i))
+		for j := range refs {
+			refs[j].ASID = uint8(i + 1)
+			if refs[j].VAddr >= workload.KernelCodeBase {
+				refs[j].VAddr += uint32(i) << 24
+			}
+			if refs[j].Kind != trace.IFetch && rnd.Intn(100) < sharePct {
+				refs[j].VAddr = sharedBase + uint32(rnd.Intn(sharedPages*64))*4
+				refs[j].Super = true // kernel-region access
+			}
+		}
+		streams[i] = refs
+	}
+	return streams, nil
 }

@@ -10,12 +10,14 @@ import (
 	"vmp/internal/stats"
 )
 
-// faultScenario is one cell of the fault-rate grid: a human name for
-// the plan plus the "fault/..." counters it must have incremented for
-// the run to count as a real stress (a scenario that injects nothing
-// proves nothing). The plans themselves live in faultSweepGrid.
+// faultScenario is one cell of the fault-rate grid: a human name, the
+// fault plan (internal/fault textual form; "none" leaves only the
+// watchdog armed) and the "fault/..." counters it must have incremented
+// for the run to count as a real stress (a scenario that injects
+// nothing proves nothing).
 type faultScenario struct {
 	name  string
+	plan  string
 	fired []string
 }
 
@@ -31,38 +33,31 @@ func FaultSweep(o Options) (*Result, error) {
 	if o.Quick {
 		opsPerCPU = 120
 	}
+	const procs = 4
 	const pageSize = 256
 	const pages = 8
 
-	// The fault plans come from the experiment's declarative grid; this
-	// table adds only what a Spec cannot carry — the human name and the
-	// counters each plan must fire.
-	sg := faultSweepGrid(o)
-	procs := sg.Base.Machine.Processors
-	plans := sg.StringAxis("faults")
 	grid := []faultScenario{
-		{name: "none"},
-		{name: "aborts", fired: []string{"fault/injected-aborts"}},
-		{name: "xfer-errors", fired: []string{"fault/transfer-errors"}},
-		{name: "fifo-storms", fired: []string{"fault/storm-words"}},
-		{name: "chaos", fired: []string{"fault/injected-aborts", "fault/transfer-errors", "fault/storm-words", "fault/table-flips"}},
-	}
-	if len(plans) != len(grid) {
-		return nil, fmt.Errorf("fault-sweep: %d plans in the grid, %d scenario names", len(plans), len(grid))
+		{name: "none", plan: "none"},
+		{name: "aborts", plan: "abort=0.15", fired: []string{"fault/injected-aborts"}},
+		{name: "xfer-errors", plan: "abort=0.05,copy=0.1", fired: []string{"fault/transfer-errors"}},
+		{name: "fifo-storms", plan: "fifo=2,storm=0.25,stormmax=4", fired: []string{"fault/storm-words"}},
+		{name: "chaos", plan: "abort=0.1,copy=0.05,fifo=2,storm=0.15,stormmax=4,flip=0.05",
+			fired: []string{"fault/injected-aborts", "fault/transfer-errors", "fault/storm-words", "fault/table-flips"}},
 	}
 
 	t := stats.NewTable("Protocol survival under injected faults (4 CPUs, shared pages + TAS lock)",
 		"Scenario", "Retries", "WB Retries", "Copier Reissues", "FIFO Recoveries", "Flips Det.", "Starved", "Elapsed (ms)")
 
 	for si, sc := range grid {
-		plan, err := fault.Parse(plans[si])
+		plan, err := fault.Parse(sc.plan)
 		if err != nil {
 			return nil, fmt.Errorf("fault-sweep %q: %w", sc.name, err)
 		}
 		m, err := o.machine(core.Config{
 			Processors: procs,
-			Cache:      cache.Geometry(sg.Base.Machine.CacheSize, pageSize, sg.Base.Machine.Assoc),
-			MemorySize: sg.Base.Machine.MemorySize,
+			Cache:      cache.Geometry(64<<10, pageSize, 4),
+			MemorySize: 8 << 20,
 			Faults:     plan,
 			FaultSeed:  o.Seed + uint64(si)*1031,
 			Watchdog:   true,

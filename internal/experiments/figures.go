@@ -101,10 +101,9 @@ func measureControlledPerformance(o Options, missRatio float64) (float64, error)
 			refs = append(refs, trace.Ref{Kind: trace.Read, ASID: 1, VAddr: hot + uint32(i%64)*4})
 		}
 	}
-	if err := m.PrefaultTrace(refs); err != nil {
+	if err := replayStreams(m, [][]trace.Ref{refs}); err != nil {
 		return 0, err
 	}
-	m.RunTrace(0, trace.NewSliceSource(refs))
 	m.Run()
 	if v := m.CheckInvariants(); len(v) != 0 {
 		return 0, fmt.Errorf("invariants: %v", v)
@@ -116,11 +115,9 @@ func measureControlledPerformance(o Options, missRatio float64) (float64, error)
 // miss ratios of a 4-way set-associative cache over the four ATUM-like
 // traces, for cache sizes 64-256 KB and page sizes 128-512 bytes.
 func Figure4(o Options) (*Result, error) {
-	// The sweep axes are defined once, in the experiment's grid.
-	g := fig4Grid(o)
-	profiles := g.StringAxis("workload.profile")
-	pageSizes := g.IntAxis("machine.page_size")
-	cacheSizes := g.IntAxis("machine.cache_size")
+	profiles := workload.Profiles()
+	pageSizes := []int{128, 256, 512}
+	cacheSizes := []int{64 << 10, 128 << 10, 256 << 10}
 
 	t := stats.NewTable("Figure 4: cold-start miss ratio (%), 4-way set associative",
 		"Trace", "Page Size", "64KB", "128KB", "256KB")
@@ -132,12 +129,12 @@ func Figure4(o Options) (*Result, error) {
 	}
 
 	for _, prof := range profiles {
-		refs, err := workload.Generate(workload.Profile(prof), o.Seed, g.Base.Workload.Refs)
+		refs, err := workload.Generate(prof, o.Seed, o.traceLen())
 		if err != nil {
 			return nil, err
 		}
 		for _, ps := range pageSizes {
-			row := []interface{}{prof, ps}
+			row := []interface{}{string(prof), ps}
 			for i, cs := range cacheSizes {
 				st := cache.Simulate(cache.Geometry(cs, ps, 4), trace.NewSliceSource(refs))
 				mr := 100 * st.MissRatio()
@@ -152,7 +149,10 @@ func Figure4(o Options) (*Result, error) {
 	plot.Title = "Figure 4: miss ratio vs cache size (mean of four traces)"
 	plot.XLabel = "cache size (KB)"
 	plot.YLabel = "miss ratio (%)"
-	xs := []float64{64, 128, 256}
+	var xs []float64
+	for _, cs := range cacheSizes {
+		xs = append(xs, float64(cs>>10))
+	}
 	for _, ps := range pageSizes {
 		plot.Add(fmt.Sprintf("%dB pages", ps), xs, avg[ps])
 	}

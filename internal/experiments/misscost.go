@@ -6,9 +6,6 @@ import (
 	"vmp/internal/cache"
 	"vmp/internal/core"
 	"vmp/internal/obs"
-	"vmp/internal/sim"
-	"vmp/internal/trace"
-	"vmp/internal/workload"
 )
 
 // MissCost measures the Table-2-style miss-cost breakdown from the
@@ -27,11 +24,6 @@ func MissCost(o Options) (*Result, error) {
 		refsPer = 15_000
 	}
 	const procs = 4
-	// Shared data lives in the kernel virtual region (common to every
-	// address space) so all four processors contend for the same frames.
-	const sharedBase = 0xd800_0000
-	const sharedPages = 8
-
 	m, err := o.machine(core.Config{
 		Processors: procs,
 		Cache:      cache.Geometry(128<<10, 256, 4),
@@ -41,27 +33,12 @@ func MissCost(o Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	for i := 0; i < procs; i++ {
-		asid := uint8(i + 1)
-		refs, err := workload.Generate(workload.Edit, o.Seed+uint64(i)*31, refsPer)
-		if err != nil {
-			return nil, err
-		}
-		rnd := sim.NewRand(o.Seed*77 + uint64(i))
-		for j := range refs {
-			refs[j].ASID = asid
-			if refs[j].VAddr >= workload.KernelCodeBase {
-				refs[j].VAddr += uint32(i) << 24
-			}
-			if refs[j].Kind != trace.IFetch && rnd.Intn(100) < 2 {
-				refs[j].VAddr = sharedBase + uint32(rnd.Intn(sharedPages*64))*4
-				refs[j].Super = true
-			}
-		}
-		if err := m.PrefaultTrace(refs); err != nil {
-			return nil, err
-		}
-		m.RunTrace(i, trace.NewSliceSource(refs))
+	streams, err := sharedEditTraces(o.Seed, procs, refsPer, 77, 2, 8)
+	if err != nil {
+		return nil, err
+	}
+	if err := replayStreams(m, streams); err != nil {
+		return nil, err
 	}
 	m.Run()
 	if v := m.CheckInvariants(); len(v) != 0 {

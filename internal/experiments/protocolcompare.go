@@ -4,28 +4,9 @@ import (
 	"fmt"
 
 	"vmp/internal/check/diff"
-	"vmp/internal/scenario"
 	"vmp/internal/sim"
 	"vmp/internal/stats"
 )
-
-// protocolCompareGrid is the protocol sweep: one sharing-heavy planned
-// workload per registered coherence protocol, selected through the
-// spec's protocol field. ProtocolCompare reads the protocol list from
-// here, so the declarative form and the runner cannot drift.
-func protocolCompareGrid(Options) *scenario.Grid {
-	return &scenario.Grid{
-		Name: "protocol-compare",
-		Base: scenario.Spec{
-			Machine:  machineSpec(4, 64<<10),
-			Workload: none,
-			Check:    true,
-		},
-		Axes: []scenario.Axis{
-			{Path: "protocol", Values: scenario.Values("vmp2", "vmp3", "rlt")},
-		},
-	}
-}
 
 // ProtocolCompare runs the differential oracle's planned workload
 // (internal/check/diff) under every registered protocol on otherwise
@@ -40,24 +21,18 @@ func ProtocolCompare(o Options) (*Result, error) {
 	if o.Quick {
 		opsPerCPU = 150
 	}
-	sg := protocolCompareGrid(o)
-	protos := sg.StringAxis("protocol")
-	if len(protos) == 0 {
-		return nil, fmt.Errorf("protocol-compare: grid has no protocol axis")
-	}
-
 	faults := ""
 	if o.Faults != nil && o.Faults.Enabled() {
 		faults = o.Faults.String()
 	}
 	rep, err := diff.Run(diff.Config{
-		Protocols:  protos,
-		Processors: sg.Base.Machine.Processors,
+		Protocols:  []string{"vmp2", "vmp3", "rlt"},
+		Processors: 4,
 		Seed:       o.Seed,
 		Faults:     faults,
 		OpsPerCPU:  opsPerCPU,
-		PageSize:   sg.Base.Machine.PageSize,
-		CacheKB:    sg.Base.Machine.CacheSize >> 10,
+		PageSize:   256,
+		CacheKB:    64,
 		NewMachine: o.machine,
 	})
 	if err != nil {

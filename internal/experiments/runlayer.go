@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -108,28 +107,21 @@ func (o Options) machine(cfg core.Config) (*core.Machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	if o.ctx != nil {
-		m.SetContext(o.ctx)
-	}
 	o.track.add(m.Eng)
 	return m, nil
 }
 
-// run executes one experiment cell through scenario.RunCtx under the
-// run's seed, fault plan, watchdog setting and context, registers the
-// machine's engine with the run's tracker, and reports any invariant
-// violation as an error. It returns the finished machine.
+// run executes one experiment cell through scenario.Run under the
+// run's seed, fault plan and watchdog setting, registers the machine's
+// engine with the run's tracker, and reports any invariant violation as
+// an error. It returns the finished machine.
 func (o Options) run(spec scenario.Spec) (*core.Machine, error) {
 	spec.Seed = o.Seed
 	if o.Faults != nil && o.Faults.Enabled() {
 		spec.Faults = o.Faults.String()
 	}
 	spec.Check = spec.Check || o.Check
-	ctx := o.ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	res, err := scenario.RunCtx(ctx, spec)
+	res, err := scenario.Run(spec)
 	if err != nil {
 		return nil, err
 	}

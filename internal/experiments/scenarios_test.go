@@ -7,105 +7,78 @@ import (
 	"vmp/internal/scenario"
 )
 
-// TestEveryExperimentHasScenario pins the tentpole acceptance
-// criterion: every registered experiment is expressible as a
-// scenario.Grid — the grid exists, expands, and every cell's Spec
-// validates, fingerprints and round-trips through canonical JSON.
+// experimentGrids are the grids the experiments execute through
+// scenario.Run; every other experiment is plain code.
+var experimentGrids = []func(Options) *scenario.Grid{fig5Grid, scalingGrid, topologyGrid}
+
+// TestEveryExperimentHasScenario checks every experiment that runs as
+// data (fig5, scaling, topology) names a registered experiment, and
+// that its full-mode grid expands and every cell's Spec fingerprints
+// and round-trips through canonical JSON to a fixed point with the same
+// fingerprint.
 func TestEveryExperimentHasScenario(t *testing.T) {
-	for _, e := range All() {
-		e := e
-		t.Run(e.ID, func(t *testing.T) {
-			g, ok := Scenario(e.ID, DefaultOptions())
-			if !ok {
-				t.Fatalf("no scenario grid for registered experiment %q", e.ID)
+	checkExperimentGrids(t, false)
+}
+
+// TestScenarioQuickVariants is TestEveryExperimentHasScenario for the
+// quick-mode grids.
+func TestScenarioQuickVariants(t *testing.T) {
+	checkExperimentGrids(t, true)
+}
+
+func checkExperimentGrids(t *testing.T, quick bool) {
+	for _, grid := range experimentGrids {
+		grid := grid
+		o := DefaultOptions()
+		o.Quick = quick
+		g := grid(o)
+		t.Run(g.Name, func(t *testing.T) {
+			if _, ok := Lookup(g.Name); !ok {
+				t.Fatalf("grid %q is not a registered experiment", g.Name)
 			}
 			cells, err := g.Expand()
 			if err != nil {
-				t.Fatalf("grid for %q does not expand: %v", e.ID, err)
+				t.Fatalf("quick=%v: grid does not expand: %v", quick, err)
 			}
 			if len(cells) == 0 {
-				t.Fatalf("grid for %q expanded to zero cells", e.ID)
+				t.Fatalf("quick=%v: grid expanded to zero cells", quick)
 			}
 			for _, c := range cells {
-				fp, err := c.Spec.Fingerprint()
-				if err != nil {
-					t.Fatalf("cell %q does not fingerprint: %v", c.Name, err)
-				}
-				canon, err := c.Spec.Canonical()
-				if err != nil {
-					t.Fatalf("cell %q has no canonical form: %v", c.Name, err)
-				}
-				back, err := scenario.ParseSpec(canon)
-				if err != nil {
-					t.Fatalf("cell %q canonical JSON does not parse: %v", c.Name, err)
-				}
-				canon2, err := back.Canonical()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(canon, canon2) {
-					t.Errorf("cell %q canonical form is not a fixed point:\n  %s\n  %s", c.Name, canon, canon2)
-				}
-				fp2, err := back.Fingerprint()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if fp != fp2 {
-					t.Errorf("cell %q fingerprint changed across the round trip: %s vs %s", c.Name, fp, fp2)
-				}
+				checkCellRoundTrip(t, c)
 			}
 		})
 	}
 }
 
-// TestScenarioMapHasNoStrays checks the grid map names only registered
-// experiments, so the map and the Registry cannot drift apart.
-func TestScenarioMapHasNoStrays(t *testing.T) {
-	for id := range scenarioGrids {
-		if _, ok := Lookup(id); !ok {
-			t.Errorf("scenarioGrids entry %q is not a registered experiment", id)
-		}
+// checkCellRoundTrip checks c's Spec fingerprints, and that its
+// canonical JSON parses back to a fixed point with the same
+// fingerprint.
+func checkCellRoundTrip(t *testing.T, c scenario.Cell) {
+	t.Helper()
+	fp, err := c.Spec.Fingerprint()
+	if err != nil {
+		t.Fatalf("cell %q does not fingerprint: %v", c.Name, err)
 	}
-	if _, ok := Scenario("no-such-experiment", DefaultOptions()); ok {
-		t.Error("Scenario returned a grid for an unregistered ID")
+	canon, err := c.Spec.Canonical()
+	if err != nil {
+		t.Fatalf("cell %q has no canonical form: %v", c.Name, err)
 	}
-}
-
-// TestScenarioQuickVariants checks the quick-mode grids also expand.
-func TestScenarioQuickVariants(t *testing.T) {
-	o := DefaultOptions()
-	o.Quick = true
-	for _, e := range All() {
-		g, ok := Scenario(e.ID, o)
-		if !ok {
-			t.Fatalf("no quick grid for %q", e.ID)
-		}
-		if _, err := g.Expand(); err != nil {
-			t.Errorf("quick grid for %q does not expand: %v", e.ID, err)
-		}
+	back, err := scenario.ParseSpec(canon)
+	if err != nil {
+		t.Fatalf("cell %q canonical JSON does not parse: %v", c.Name, err)
 	}
-}
-
-// TestSweepingExperimentsMatchTheirGrids pins the refactored sweeps to
-// their declarative axes: the values the experiments iterate are the
-// grid's, not a drifted copy.
-func TestSweepingExperimentsMatchTheirGrids(t *testing.T) {
-	o := DefaultOptions()
-	if got := fig4Grid(o).IntAxis("machine.page_size"); len(got) != 3 || got[0] != 128 {
-		t.Errorf("fig4 page sizes = %v", got)
+	canon2, err := back.Canonical()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := fig4Grid(o).IntAxis("machine.cache_size"); len(got) != 3 || got[2] != 256<<10 {
-		t.Errorf("fig4 cache sizes = %v", got)
+	if !bytes.Equal(canon, canon2) {
+		t.Errorf("cell %q canonical form is not a fixed point:\n  %s\n  %s", c.Name, canon, canon2)
 	}
-	if got := scalingGrid(o).IntAxis("machine.processors"); len(got) != 7 || got[6] != 8 {
-		t.Errorf("scaling counts = %v", got)
+	fp2, err := back.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
 	}
-	o.Quick = true
-	if got := scalingGrid(o).IntAxis("machine.processors"); len(got) != 4 || got[3] != 6 {
-		t.Errorf("quick scaling counts = %v", got)
-	}
-	plans := faultSweepGrid(o).StringAxis("faults")
-	if len(plans) != 5 || plans[0] != "none" {
-		t.Errorf("fault plans = %v", plans)
+	if fp != fp2 {
+		t.Errorf("cell %q fingerprint changed across the round trip: %s vs %s", c.Name, fp, fp2)
 	}
 }

@@ -37,3 +37,23 @@ func TestSmokeAll(t *testing.T) {
 		t.Log("\n" + r.String())
 	}
 }
+
+// TestExperimentsRetireTheirProcesses runs every experiment and checks
+// each engine it built ends with no live process: a parked coroutine
+// would keep its whole machine reachable after the result is returned.
+func TestExperimentsRetireTheirProcesses(t *testing.T) {
+	for _, e := range All() {
+		e := e
+		t.Run(e.ID, func(t *testing.T) {
+			o := Options{Quick: true, Seed: seedFor(11, e.ID), track: &engineTrack{}}
+			if _, err := e.Run(o); err != nil {
+				t.Fatal(err)
+			}
+			for i, eng := range o.track.engines {
+				if live := eng.Live(); live != 0 {
+					t.Errorf("engine %d of %d: %d live processes after the run", i+1, len(o.track.engines), live)
+				}
+			}
+		})
+	}
+}

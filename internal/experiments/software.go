@@ -150,32 +150,21 @@ func AblationPageContention(o Options) (*Result, error) {
 	if o.Quick {
 		rounds = 40
 	}
-	// Machine shape and swept page sizes come from the experiment's grid.
-	g := pageContentionGrid(o)
-	procs := g.Base.Machine.Processors
+	const procs = 4
 	t := stats.NewTable("False sharing vs page size",
 		"Scheme", "Page/Line", "Elapsed (µs)", "Bus KB", "Invalidations+Downgrades")
 
-	for _, ps := range g.IntAxis("machine.page_size") {
-		streams := workload.FalseSharing(procs, 0x40000, ps, rounds)
+	for _, ps := range []int{128, 256, 512} {
 		m, err := o.machine(core.Config{
 			Processors: procs,
-			Cache:      cache.Geometry(g.Base.Machine.CacheSize, ps, g.Base.Machine.Assoc),
-			MemorySize: g.Base.Machine.MemorySize,
+			Cache:      cache.Geometry(64<<10, ps, 4),
+			MemorySize: 8 << 20,
 		})
 		if err != nil {
 			return nil, err
 		}
-		if err := m.EnsureSpace(1); err != nil {
+		if err := replayStreams(m, workload.FalseSharing(procs, 0x40000, ps, rounds)); err != nil {
 			return nil, err
-		}
-		for _, s := range streams {
-			if err := m.PrefaultTrace(s); err != nil {
-				return nil, err
-			}
-		}
-		for i, s := range streams {
-			m.RunTrace(i, trace.NewSliceSource(s))
 		}
 		end := m.Run()
 		if v := m.CheckInvariants(); len(v) != 0 {
@@ -208,20 +197,16 @@ func AblationPageContention(o Options) (*Result, error) {
 // ratio of the four traces at a fixed 128 KB / 256 B geometry with 1, 2
 // and 4 ways.
 func AblationAssociativity(o Options) (*Result, error) {
-	// Profiles and way counts come from the experiment's grid.
-	g := assocGrid(o)
-	cacheSize := g.Base.Machine.CacheSize
-	pageSize := g.Base.Machine.PageSize
 	t := stats.NewTable("Associativity sweep (128 KB cache, 256 B pages)",
 		"Trace", "1-way (%)", "2-way (%)", "4-way (%)")
-	for _, prof := range g.StringAxis("workload.profile") {
-		refs, err := workload.Generate(workload.Profile(prof), o.Seed, g.Base.Workload.Refs)
+	for _, prof := range workload.Profiles() {
+		refs, err := workload.Generate(prof, o.Seed, o.traceLen())
 		if err != nil {
 			return nil, err
 		}
-		row := []interface{}{prof}
-		for _, assoc := range g.IntAxis("machine.assoc") {
-			st := cache.Simulate(cache.Geometry(cacheSize, pageSize, assoc), trace.NewSliceSource(refs))
+		row := []interface{}{string(prof)}
+		for _, assoc := range []int{1, 2, 4} {
+			st := cache.Simulate(cache.Geometry(128<<10, 256, assoc), trace.NewSliceSource(refs))
 			row = append(row, 100*st.MissRatio())
 		}
 		t.Add(row...)

@@ -73,6 +73,10 @@ func AblationSpinFairness(o Options) (*Result, error) {
 		if err != nil {
 			return 0, 0, err
 		}
+		// The window cuts the spinners off mid-loop. Once the results are
+		// read, retire their parked coroutines so they do not keep the
+		// machine reachable.
+		defer m.Eng.KillProcesses()
 		prog, err := isa.Assemble(src)
 		if err != nil {
 			return 0, 0, err

@@ -13,14 +13,14 @@ import (
 // reason it stays.
 var uncalledAllowed = map[string]string{
 	"vmp/internal/experiments.DefaultOptions": "the full-fidelity Options value for library callers and the experiments tests",
-	"vmp/internal/experiments.Scenario":       "publishes each experiment's grid as data (DESIGN §11, README)",
 	"vmp/internal/lint.Unsuppressed":          "the self-tests' pass/fail filter (TestRepoIsClean, the leakcheck load test)",
 }
 
 // TestNoUncalledExports keeps dead internal API from growing back: every
 // exported package-level function in internal/... must be referenced
 // by some non-test file of the module, or carry a reason in
-// uncalledAllowed. Methods are out of scope: interface satisfaction
+// uncalledAllowed, and every uncalledAllowed entry must name such a
+// function. Methods are out of scope: interface satisfaction
 // makes "uncalled" ambiguous for them. Callers in the separate
 // perfbench module are not seen, so a function only it calls needs an
 // allowlist entry.
@@ -40,6 +40,7 @@ func TestNoUncalledExports(t *testing.T) {
 		}
 	}
 	var dead []string
+	defined := make(map[string]bool)
 	for _, p := range pkgs {
 		if !strings.HasPrefix(p.Path, "vmp/internal/") {
 			continue
@@ -50,6 +51,7 @@ func TestNoUncalledExports(t *testing.T) {
 			if !ok || !ast.IsExported(name) {
 				continue
 			}
+			defined[key] = true
 			_, allowed := uncalledAllowed[key]
 			switch {
 			case !used[key] && !allowed:
@@ -57,6 +59,11 @@ func TestNoUncalledExports(t *testing.T) {
 			case used[key] && allowed:
 				dead = append(dead, key+": has a caller now; drop its uncalledAllowed entry")
 			}
+		}
+	}
+	for key := range uncalledAllowed {
+		if !defined[key] {
+			dead = append(dead, key+": uncalledAllowed names no exported function under internal/; drop the entry")
 		}
 	}
 	sort.Strings(dead)

@@ -189,64 +189,6 @@ func Values(vs ...any) []RawValue {
 	return out
 }
 
-// AxisValues returns the decoded values of the named axis, or nil when
-// the grid has no such axis — the helper experiments use to read their
-// sweep parameters from their own grid definition.
-func (g *Grid) AxisValues(path string) []any {
-	for _, ax := range g.Axes {
-		if ax.Path != path {
-			continue
-		}
-		out := make([]any, len(ax.Values))
-		for i, raw := range ax.Values {
-			var v any
-			if err := json.Unmarshal(raw, &v); err != nil {
-				return nil
-			}
-			out[i] = v
-		}
-		return out
-	}
-	return nil
-}
-
-// IntAxis returns the named axis's values as ints (JSON numbers are
-// float64; exact integers convert losslessly). Nil when absent or not
-// numeric.
-func (g *Grid) IntAxis(path string) []int {
-	vs := g.AxisValues(path)
-	if vs == nil {
-		return nil
-	}
-	out := make([]int, len(vs))
-	for i, v := range vs {
-		f, ok := v.(float64)
-		if !ok || f != float64(int(f)) {
-			return nil
-		}
-		out[i] = int(f)
-	}
-	return out
-}
-
-// StringAxis returns the named axis's values as strings. Nil when
-// absent or not strings.
-func (g *Grid) StringAxis(path string) []string {
-	vs := g.AxisValues(path)
-	if vs == nil {
-		return nil
-	}
-	out := make([]string, len(vs))
-	for i, v := range vs {
-		s, ok := v.(string)
-		if !ok {
-			return nil
-		}
-		out[i] = s
-	}
-	return out
-}
-
 // ParseGrid reads a Grid from JSON, rejecting unknown fields.
 func ParseGrid(data []byte) (*Grid, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))

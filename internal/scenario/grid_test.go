@@ -1,9 +1,6 @@
 package scenario
 
-import (
-	"reflect"
-	"testing"
-)
+import "testing"
 
 func testGrid() *Grid {
 	return &Grid{
@@ -77,7 +74,7 @@ func TestGridNestedPathCreation(t *testing.T) {
 }
 
 // TestGridStringAxis checks string-valued axes (workload profiles,
-// fault plans) and the typed axis readers.
+// fault plans) expand into the cells.
 func TestGridStringAxis(t *testing.T) {
 	g := &Grid{
 		Name: "profiles",
@@ -89,19 +86,6 @@ func TestGridStringAxis(t *testing.T) {
 	}
 	if cells[0].Spec.Workload.Profile != "edit" || cells[1].Spec.Workload.Profile != "compile" {
 		t.Errorf("profiles not applied: %q, %q", cells[0].Spec.Workload.Profile, cells[1].Spec.Workload.Profile)
-	}
-	if got := g.StringAxis("workload.profile"); !reflect.DeepEqual(got, []string{"edit", "compile"}) {
-		t.Errorf("StringAxis = %v", got)
-	}
-	if got := g.IntAxis("workload.profile"); got != nil {
-		t.Errorf("IntAxis on a string axis = %v, want nil", got)
-	}
-	pg := testGrid()
-	if got := pg.IntAxis("machine.page_size"); !reflect.DeepEqual(got, []int{128, 256}) {
-		t.Errorf("IntAxis = %v", got)
-	}
-	if got := pg.IntAxis("no.such.axis"); got != nil {
-		t.Errorf("IntAxis on a missing axis = %v, want nil", got)
 	}
 }
 

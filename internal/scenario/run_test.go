@@ -4,7 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"path/filepath"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // smallSpec is a quick multi-board run with the event stream retained,
@@ -194,6 +198,35 @@ func TestRunGridSerialParallelIdentical(t *testing.T) {
 	}
 	if serial.Failures() != 0 {
 		t.Errorf("Failures() = %d, want 0", serial.Failures())
+	}
+}
+
+// TestRunCellsDefaultWorkersIsParallel checks Workers: 0 runs cells
+// concurrently: two cells must reach CellDone at the same time. Each
+// waits there for the other, so a serial sweep times out instead.
+func TestRunCellsDefaultWorkersIsParallel(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("needs GOMAXPROCS >= 2")
+	}
+	cells := []Cell{{Name: "a", Spec: namedSpec("a")}, {Name: "b", Spec: namedSpec("b")}}
+	var arrived sync.WaitGroup
+	arrived.Add(len(cells))
+	both := make(chan struct{})
+	go func() { arrived.Wait(); close(both) }()
+	var overlapped atomic.Int32
+	_, err := RunCells("default-workers", cells, RunOptions{CellDone: func(CellResult) {
+		arrived.Done()
+		select {
+		case <-both:
+			overlapped.Add(1)
+		case <-time.After(5 * time.Second):
+		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := overlapped.Load(); n != 2 {
+		t.Fatalf("Workers: 0 ran the cells serially (%d of 2 saw the other in flight)", n)
 	}
 }
 

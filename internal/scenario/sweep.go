@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -14,12 +15,9 @@ import (
 // changes wall-clock, never a cell's summary.
 type RunOptions struct {
 	// Workers is the number of cells simulated concurrently; values < 1
-	// mean serial. Never wire data (json:"-"): options must not leak
+	// mean GOMAXPROCS. Never wire data (json:"-"): options must not leak
 	// into any canonical encoding, since they cannot affect results.
 	Workers int `json:"-"`
-	// Progress, when non-nil, receives each cell's name as it completes
-	// (called from worker goroutines, completion order).
-	Progress func(name string) `json:"-"`
 	// Ctx cancels the sweep: workers stop claiming cells, in-flight
 	// cells stop promptly, and the sweep returns the context's error
 	// alongside the partial results. Nil means never cancelled. A
@@ -92,7 +90,7 @@ func RunCells(name string, cells []Cell, opts RunOptions) (*SweepResult, error) 
 
 	workers := opts.Workers
 	if workers < 1 {
-		workers = 1
+		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > len(cells) {
 		workers = len(cells)
@@ -136,9 +134,6 @@ func RunCells(name string, cells []Cell, opts RunOptions) (*SweepResult, error) 
 					cr.Violations = rr.Violations
 				}
 				res.Cells[i] = cr
-				if opts.Progress != nil {
-					opts.Progress(cr.Name)
-				}
 				if opts.CellDone != nil {
 					opts.CellDone(cr)
 				}
