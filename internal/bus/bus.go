@@ -180,6 +180,9 @@ const numOps = int(busop.NumOps)
 // Bus is the shared VMEbus. Create with New. All counters live in the
 // engine's per-run stats.Recorder under "bus/..." names, so a run's
 // metrics are collected in one sink instead of scattered per component.
+// A Bus is also one local segment of a Hierarchy: the recorder hands
+// out one cell per name, so segments on the same engine share the
+// machine-wide counters.
 type Bus struct {
 	eng      *sim.Engine
 	rec      *stats.Recorder
@@ -189,12 +192,18 @@ type Bus struct {
 	inj      Injector
 	observer func(Transaction, Result)
 	sink     *obs.Sink
+	// tag is written into the ASID byte of this bus's trace events: 0
+	// on the flat bus, 1+segment on a hierarchy segment.
+	tag uint8
 
 	tx       [numOps]*stats.Counter
 	aborts   *stats.Counter
 	xferErrs *stats.Counter
 	busy     *stats.Counter // occupancy, in sim.Time ns
 	bytes    *stats.Counter
+	// segBusy is a hierarchy segment's own occupancy; nil (discarding
+	// updates) on the flat bus.
+	segBusy *stats.Counter
 
 	// perBoard accumulates bus occupancy per requester (DMA under
 	// NoRequester is not tracked here) under "bus/board<i>/busy-ns".
@@ -202,7 +211,7 @@ type Bus struct {
 
 	// intrBuf is the scratch list of monitors that asked to be posted
 	// this transaction, reused across transactions (the bus semaphore
-	// serializes Do, so one buffer suffices).
+	// serializes check windows, so one buffer suffices).
 	intrBuf []Snooper
 }
 
@@ -267,15 +276,6 @@ func (b *Bus) Stats() Stats {
 	return cp
 }
 
-// BoardBusyTime returns the accumulated bus occupancy charged to a
-// board, reconstructed from the per-run metrics sink.
-func (b *Bus) BoardBusyTime(id int) sim.Time {
-	if c, ok := b.perBoard[id]; ok {
-		return sim.Time(c.Value())
-	}
-	return 0
-}
-
 // boardBusy returns (creating on first use) the occupancy counter for a
 // board.
 func (b *Bus) boardBusy(id int) *stats.Counter {
@@ -301,33 +301,20 @@ func (b *Bus) Utilization() float64 {
 // the check window; an abort terminates the transaction early. The
 // requester's own monitor action table is updated as a side effect of a
 // successful consistency-related transaction.
+func (b *Bus) Do(p *sim.Process, tx Transaction) Result { return b.do(p, tx, Result{}) }
+
+// do is the one transaction body, shared by the flat bus and every
+// hierarchy segment. res carries reactions already gathered elsewhere
+// (a hierarchy's remote segments) and is merged with this bus's own
+// check window.
 //
 //vmplint:hotpath
-func (b *Bus) Do(p *sim.Process, tx Transaction) Result {
+func (b *Bus) do(p *sim.Process, tx Transaction, res Result) Result {
 	b.sem.Acquire(p)
 	defer b.sem.Release()
 
-	var res Result
 	if tx.Op.ConsistencyRelated() {
-		// Check window: gather every monitor's decision first (the
-		// hardware monitors decide in parallel from table state at the
-		// start of the window), then apply effects.
-		b.intrBuf = b.intrBuf[:0]
-		for _, s := range b.snoopers {
-			r := s.Check(tx)
-			if r.Abort {
-				res.Aborted = true
-			}
-			if r.Seen {
-				res.SharedSeen = true
-			}
-			if r.Interrupt {
-				b.intrBuf = append(b.intrBuf, s) //vmplint:allow hotalloc reused scratch buffer reaches snooper-count capacity once; the bus/transaction micro pins 0 allocs/op
-			}
-		}
-		for _, s := range b.intrBuf {
-			s.Post(tx)
-		}
+		b.check(tx, &res)
 	}
 
 	// Fault layer: an otherwise-successful transaction may be spuriously
@@ -366,32 +353,76 @@ func (b *Bus) Do(p *sim.Process, tx Transaction) Result {
 		}
 	}
 	b.tx[tx.Op].Inc()
-	b.busy.Add(int64(busy))
-	if tx.Requester != NoRequester {
-		b.boardBusy(tx.Requester).Add(int64(busy))
-	}
-	if b.sink != nil {
-		var fl uint8
-		if tx.Op.ConsistencyRelated() {
-			fl |= obs.FlagConsistency
-		}
-		if res.Aborted {
-			fl |= obs.FlagAborted
-		}
-		if res.SpuriousAbort {
-			fl |= obs.FlagSpurious
-		}
-		if res.TransferErr {
-			fl |= obs.FlagTransferErr
-		}
-		b.sink.Emit(obs.Event{
-			Time: b.eng.Now(), Dur: busy, PAddr: tx.PAddr,
-			Board: int16(tx.Requester), Kind: obs.KindBus, Arg: uint8(tx.Op), Flags: fl,
-		})
-	}
+	b.charge(tx.Requester, busy)
+	b.emit(tx, busy, res)
 	if b.observer != nil {
 		b.observer(tx, res)
 	}
 	p.Delay(busy)
 	return res
+}
+
+// check runs the consistency-check window on this bus, merging every
+// monitor's reaction into res. The monitors decide in parallel from
+// table state at the start of the window, so all decisions are
+// gathered before any interrupt is posted. The caller holds the bus.
+//
+//vmplint:hotpath
+func (b *Bus) check(tx Transaction, res *Result) {
+	b.intrBuf = b.intrBuf[:0]
+	for _, s := range b.snoopers {
+		r := s.Check(tx)
+		if r.Abort {
+			res.Aborted = true
+		}
+		if r.Seen {
+			res.SharedSeen = true
+		}
+		if r.Interrupt {
+			b.intrBuf = append(b.intrBuf, s) //vmplint:allow hotalloc reused scratch buffer reaches snooper-count capacity once; the bus/transaction and interconnect micros pin 0 allocs/op
+		}
+	}
+	for _, s := range b.intrBuf {
+		s.Post(tx)
+	}
+}
+
+// charge books occupancy against the bus, its segment counter and the
+// requester.
+//
+//vmplint:hotpath
+func (b *Bus) charge(requester int, d sim.Time) {
+	b.busy.Add(int64(d))
+	b.segBusy.Add(int64(d))
+	if requester != NoRequester {
+		b.boardBusy(requester).Add(int64(d))
+	}
+}
+
+// emit sends one KindBus trace event tagged with this bus's segment,
+// flagged from the transaction's result.
+//
+//vmplint:hotpath
+func (b *Bus) emit(tx Transaction, dur sim.Time, res Result) {
+	if b.sink == nil {
+		return
+	}
+	var fl uint8
+	if tx.Op.ConsistencyRelated() {
+		fl |= obs.FlagConsistency
+	}
+	if res.Aborted {
+		fl |= obs.FlagAborted
+	}
+	if res.SpuriousAbort {
+		fl |= obs.FlagSpurious
+	}
+	if res.TransferErr {
+		fl |= obs.FlagTransferErr
+	}
+	b.sink.Emit(obs.Event{
+		Time: b.eng.Now(), Dur: dur, PAddr: tx.PAddr,
+		Board: int16(tx.Requester), ASID: b.tag,
+		Kind: obs.KindBus, Arg: uint8(tx.Op), Flags: fl,
+	})
 }

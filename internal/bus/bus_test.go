@@ -176,20 +176,24 @@ func TestUpdateOnlyOnSuccess(t *testing.T) {
 }
 
 func TestPlainOpsSkipMonitors(t *testing.T) {
-	eng := sim.NewEngine()
-	b := New(eng)
-	s := &fakeSnooper{id: 1, abort: true, interrupt: true}
-	b.Attach(s)
-	var res Result
-	eng.Spawn("dma", func(p *sim.Process) {
-		res = b.Do(p, Transaction{Op: PlainWrite, PAddr: 0, Bytes: 256, Requester: NoRequester})
-	})
-	eng.Run()
-	if res.Aborted {
-		t.Error("plain transfer aborted")
-	}
-	if len(s.checked) != 0 || len(s.posted) != 0 {
-		t.Error("monitor saw a plain transfer")
+	for _, ic := range interconnects {
+		t.Run(ic.name, func(t *testing.T) {
+			eng := sim.NewEngine()
+			b := ic.build(eng)
+			s := &fakeSnooper{id: ic.board + 1, abort: true, interrupt: true}
+			b.Attach(s)
+			var res Result
+			eng.Spawn("dma", func(p *sim.Process) {
+				res = b.Do(p, Transaction{Op: PlainWrite, PAddr: 0, Bytes: 256, Requester: NoRequester})
+			})
+			eng.Run()
+			if res.Aborted {
+				t.Error("plain transfer aborted")
+			}
+			if len(s.checked) != 0 || len(s.posted) != 0 {
+				t.Error("monitor saw a plain transfer")
+			}
+		})
 	}
 }
 
@@ -228,10 +232,10 @@ func TestUtilizationAndPerBoard(t *testing.T) {
 		t.Errorf("utilization %v, want 0.5", got)
 	}
 	per := DefaultTiming().TransferTime(ReadShared, 128)
-	if got := b.BoardBusyTime(2); got != per {
+	if got := sim.Time(eng.Recorder().Value("bus/board2/busy-ns")); got != per {
 		t.Errorf("board busy %v, want %v", got, per)
 	}
-	if got := b.BoardBusyTime(7); got != 0 {
+	if got := eng.Recorder().Value("bus/board7/busy-ns"); got != 0 {
 		t.Errorf("untouched board busy %v", got)
 	}
 }

@@ -12,10 +12,12 @@ import (
 // Hierarchy is the multi-bus interconnect, in the spirit of Cheriton's
 // VMP-MC follow-up: boards are grouped onto local bus segments, and the
 // segments are joined by a single inter-bus link that carries only
-// consistency actions. Main memory is multi-ported with a bank port on
-// every segment, so data transfers (page fills, write-backs, DMA) run
-// entirely on the requester's local bus at the ordinary VMEbus timing —
-// monitors and copiers keep their exact single-bus behaviour.
+// consistency actions. Each segment is a Bus, and a transaction commits
+// on its requester's segment through the flat bus's own transaction
+// body. Main memory is multi-ported with a bank port on every segment,
+// so data transfers (page fills, write-backs, DMA) run entirely on the
+// requester's local bus at the ordinary VMEbus timing — monitors and
+// copiers keep their exact single-bus behaviour.
 //
 // What crosses the link is the consistency-check broadcast, and only
 // when it must: a per-page-frame inclusion filter (a coarse directory
@@ -42,48 +44,32 @@ import (
 // then one segment semaphore at a time.
 type Hierarchy struct {
 	eng      *sim.Engine
-	rec      *stats.Recorder
 	timing   Timing
 	topo     Topology
 	pageSize int
 
-	segs []*segment
+	// segs are the local buses. Each is a full Bus running the one
+	// transaction body; the hierarchy adds only the frame busy bits,
+	// the inclusion filter and the link.
+	segs []*Bus
 	link *sim.Semaphore
 
-	inj      Injector
-	observer func(Transaction, Result)
-	sink     *obs.Sink
+	inj  Injector
+	sink *obs.Sink
 
 	// dir is the inclusion filter plus busy bit, per page frame,
 	// created on first touch. Accessed by key only (never iterated), so
 	// no map-order dependence can arise.
 	dir map[uint32]*dirEntry
-	// boardSnoop finds the requester's own monitor for the table
-	// update and the filter read-back.
+	// boardSnoop finds the requester's own monitor for the filter
+	// read-back.
 	boardSnoop map[int]Snooper
 
-	tx        [numOps]*stats.Counter
-	aborts    *stats.Counter
-	xferErrs  *stats.Counter
-	busy      *stats.Counter // total segment occupancy, in sim.Time ns
-	bytes     *stats.Counter
 	linkBusy  *stats.Counter
 	linkCross *stats.Counter
 	linkAbort *stats.Counter
 	filtered  *stats.Counter // consistency transactions kept local by the filter
 	waits     *stats.Counter // busy-frame arbitration waits
-	perBoard  map[int]*stats.Counter
-}
-
-// segment is one local bus: its own arbiter (semaphore), its own
-// monitors, its own occupancy counter.
-type segment struct {
-	sem      *sim.Semaphore
-	snoopers []Snooper
-	busy     *stats.Counter
-	// intrBuf is the scratch list of monitors to post, reused across
-	// transactions; it is touched only under the segment semaphore.
-	intrBuf []Snooper
 }
 
 // dirEntry is one page frame's directory state.
@@ -111,32 +97,23 @@ func NewHierarchy(eng *sim.Engine, topo Topology, pageSize int) *Hierarchy {
 	rec := eng.Recorder()
 	h := &Hierarchy{
 		eng:        eng,
-		rec:        rec,
 		timing:     DefaultTiming(),
 		topo:       topo,
 		pageSize:   pageSize,
 		link:       sim.NewSemaphore(1),
 		dir:        make(map[uint32]*dirEntry),
 		boardSnoop: make(map[int]Snooper),
-		aborts:     rec.Counter("bus/aborts"),
-		xferErrs:   rec.Counter("bus/transfer-errors"),
-		busy:       rec.Counter("bus/busy-ns"),
-		bytes:      rec.Counter("bus/bytes-moved"),
 		linkBusy:   rec.Counter("bus/link/busy-ns"),
 		linkCross:  rec.Counter("bus/link/crossings"),
 		linkAbort:  rec.Counter("bus/link/aborts"),
 		filtered:   rec.Counter("bus/link/filtered-local"),
 		waits:      rec.Counter("bus/frame-waits"),
-		perBoard:   make(map[int]*stats.Counter),
-	}
-	for op := 0; op < numOps; op++ {
-		h.tx[op] = rec.Counter("bus/tx/" + Op(op).String())
 	}
 	for i := 0; i < topo.Buses; i++ {
-		h.segs = append(h.segs, &segment{
-			sem:  sim.NewSemaphore(1),
-			busy: rec.Counter(fmt.Sprintf("bus/seg%d/busy-ns", i)),
-		})
+		seg := New(eng)
+		seg.tag = uint8(1 + i)
+		seg.segBusy = rec.Counter(fmt.Sprintf("bus/seg%d/busy-ns", i))
+		h.segs = append(h.segs, seg)
 	}
 	return h
 }
@@ -144,20 +121,39 @@ func NewHierarchy(eng *sim.Engine, topo Topology, pageSize int) *Hierarchy {
 // SetInjector implements Interconnect. The same injector serves both
 // the per-segment transaction faults and the link-level transient
 // aborts, so one seeded fault plan covers the whole interconnect.
-func (h *Hierarchy) SetInjector(inj Injector) { h.inj = inj }
+func (h *Hierarchy) SetInjector(inj Injector) {
+	h.inj = inj
+	for _, seg := range h.segs {
+		seg.SetInjector(inj)
+	}
+}
 
 // SetSink implements Interconnect.
-func (h *Hierarchy) SetSink(s *obs.Sink) { h.sink = s }
+func (h *Hierarchy) SetSink(s *obs.Sink) {
+	h.sink = s
+	for _, seg := range h.segs {
+		seg.SetSink(s)
+	}
+}
 
 // SetObserver implements Interconnect. The observer runs once per
 // logical transaction with the merged (local + remote) result, while
 // the home segment is still held and the frame is still busy, so the
 // watchdog's shadow sees one serialized stream in commit order exactly
 // as on a single bus.
-func (h *Hierarchy) SetObserver(fn func(Transaction, Result)) { h.observer = fn }
+func (h *Hierarchy) SetObserver(fn func(Transaction, Result)) {
+	for _, seg := range h.segs {
+		seg.SetObserver(fn)
+	}
+}
 
 // SetTiming implements Interconnect.
-func (h *Hierarchy) SetTiming(t Timing) { h.timing = t }
+func (h *Hierarchy) SetTiming(t Timing) {
+	h.timing = t
+	for _, seg := range h.segs {
+		seg.SetTiming(t)
+	}
+}
 
 // Timing implements Interconnect.
 func (h *Hierarchy) Timing() Timing { return h.timing }
@@ -165,27 +161,15 @@ func (h *Hierarchy) Timing() Timing { return h.timing }
 // Attach implements Interconnect, placing the monitor on its board's
 // segment.
 func (h *Hierarchy) Attach(s Snooper) {
-	seg := h.segs[h.topo.SegmentOf(s.BoardID())]
-	seg.snoopers = append(seg.snoopers, s)
+	h.segs[h.topo.SegmentOf(s.BoardID())].Attach(s)
 	h.boardSnoop[s.BoardID()] = s
 }
 
-// Stats implements Interconnect. BusyTime aggregates the occupancy of
-// every segment (link time is reported separately via LinkStats).
-func (h *Hierarchy) Stats() Stats {
-	cp := Stats{
-		Aborts:       uint64(h.aborts.Value()),
-		BusyTime:     sim.Time(h.busy.Value()),
-		BytesMoved:   uint64(h.bytes.Value()),
-		Transactions: make(map[Op]uint64),
-	}
-	for op := 0; op < numOps; op++ {
-		if v := h.tx[op].Value(); v > 0 {
-			cp.Transactions[Op(op)] = uint64(v)
-		}
-	}
-	return cp
-}
+// Stats implements Interconnect. The segments share the machine-wide
+// counters, so any one of them reports the whole interconnect;
+// BusyTime aggregates the occupancy of every segment (link time is
+// reported separately via LinkStats).
+func (h *Hierarchy) Stats() Stats { return h.segs[0].Stats() }
 
 // LinkStats reports the inter-bus link counters.
 type LinkStats struct {
@@ -220,35 +204,18 @@ func (h *Hierarchy) SegmentUtilization(i int) float64 {
 	if h.eng.Now() == 0 || i < 0 || i >= len(h.segs) {
 		return 0
 	}
-	return float64(h.segs[i].busy.Value()) / float64(h.eng.Now())
+	return float64(h.segs[i].segBusy.Value()) / float64(h.eng.Now())
 }
 
 // Utilization implements Interconnect: the mean per-segment
 // utilization, comparable to the single bus's figure and to the
-// queuing model's per-bus prediction.
+// queuing model's per-bus prediction. The segments share the
+// machine-wide bus/busy-ns counter, so any one holds the total.
 func (h *Hierarchy) Utilization() float64 {
 	if h.eng.Now() == 0 || len(h.segs) == 0 {
 		return 0
 	}
-	return float64(h.busy.Value()) / (float64(h.eng.Now()) * float64(len(h.segs)))
-}
-
-// BoardBusyTime implements Interconnect: all interconnect occupancy
-// (home segment, remote probes, link packets) charged to a board.
-func (h *Hierarchy) BoardBusyTime(id int) sim.Time {
-	if c, ok := h.perBoard[id]; ok {
-		return sim.Time(c.Value())
-	}
-	return 0
-}
-
-func (h *Hierarchy) boardBusy(id int) *stats.Counter {
-	c, ok := h.perBoard[id]
-	if !ok {
-		c = h.rec.Counter(fmt.Sprintf("bus/board%d/busy-ns", id))
-		h.perBoard[id] = c
-	}
-	return c
+	return float64(h.segs[0].busy.Value()) / (float64(h.eng.Now()) * float64(len(h.segs)))
 }
 
 // entry returns (creating on first touch) a frame's directory entry.
@@ -291,33 +258,6 @@ func (h *Hierarchy) segMask(s int) uint64 {
 	return m
 }
 
-// charge books occupancy time against a segment and the requester.
-//
-//vmplint:hotpath
-func (h *Hierarchy) charge(seg *segment, requester int, d sim.Time) {
-	seg.busy.Add(int64(d))
-	h.busy.Add(int64(d))
-	if requester != NoRequester {
-		h.boardBusy(requester).Add(int64(d))
-	}
-}
-
-// emit sends one trace event; seg is the 1-based segment tag carried
-// in the event's ASID byte (0 is reserved so single-bus streams, which
-// always carry 0 there, keep their historical encoding).
-//
-//vmplint:hotpath
-func (h *Hierarchy) emit(kind obs.Kind, tx Transaction, dur sim.Time, seg int, fl uint8) {
-	if h.sink == nil {
-		return
-	}
-	h.sink.Emit(obs.Event{
-		Time: h.eng.Now(), Dur: dur, PAddr: tx.PAddr,
-		Board: int16(tx.Requester), ASID: uint8(seg),
-		Kind: kind, Arg: uint8(tx.Op), Flags: fl,
-	})
-}
-
 // Do implements Interconnect. Plain (DMA/device) transfers run
 // entirely on the home segment. Consistency transactions and
 // action-table writes first acquire their frame's busy bit; the
@@ -330,7 +270,7 @@ func (h *Hierarchy) emit(kind obs.Kind, tx Transaction, dur sim.Time, seg int, f
 func (h *Hierarchy) Do(p *sim.Process, tx Transaction) Result {
 	home := h.topo.SegmentOf(tx.Requester)
 	if !tx.Op.ConsistencyRelated() && tx.Op != WriteActionTable {
-		return h.commit(p, tx, home, Result{})
+		return h.segs[home].Do(p, tx)
 	}
 
 	frame := h.frameOf(tx.PAddr)
@@ -353,7 +293,7 @@ func (h *Hierarchy) Do(p *sim.Process, tx Transaction) Result {
 			h.filtered.Inc()
 		}
 	}
-	res = h.commit(p, tx, home, res)
+	res = h.segs[home].do(p, tx, res)
 	if !res.Aborted && !res.TransferErr {
 		h.updateFilter(tx, e)
 	}
@@ -376,131 +316,44 @@ func (h *Hierarchy) crossLink(p *sim.Process, tx Transaction, mask uint64) Resul
 	h.linkBusy.Add(int64(pkt))
 	h.linkCross.Inc()
 	if tx.Requester != NoRequester {
-		h.boardBusy(tx.Requester).Add(int64(pkt))
+		// The per-board counters are machine-wide, so any segment books
+		// the link packet.
+		h.segs[0].boardBusy(tx.Requester).Add(int64(pkt))
 	}
 	// Link-level fault injection reuses the transient-abort class: the
 	// broadcast is lost in link arbitration and the requester retries,
 	// exactly as for an on-bus spurious abort.
+	fl := uint8(obs.FlagConsistency)
 	if h.inj != nil && tx.Requester != NoRequester && h.inj.AbortTransient(tx.Op) {
 		res.Aborted = true
 		res.SpuriousAbort = true
 		h.linkAbort.Inc()
-		h.emit(obs.KindLink, tx, pkt, 0, obs.FlagConsistency|obs.FlagAborted|obs.FlagSpurious)
-		p.Delay(pkt)
+		fl |= obs.FlagAborted | obs.FlagSpurious
+	}
+	if h.sink != nil {
+		h.sink.Emit(obs.Event{
+			Time: h.eng.Now(), Dur: pkt, PAddr: tx.PAddr, Board: int16(tx.Requester),
+			Kind: obs.KindLink, Arg: uint8(tx.Op), Flags: fl,
+		})
+	}
+	p.Delay(pkt)
+	if res.Aborted {
 		h.link.Release()
 		return res
 	}
-	h.emit(obs.KindLink, tx, pkt, 0, obs.FlagConsistency)
-	p.Delay(pkt)
 	probe := h.timing.ArbAddr + h.timing.CheckWindow + h.timing.UpdateWindow
-	for s := 0; s < len(h.segs); s++ {
+	for s, seg := range h.segs {
 		if mask&h.segMask(s) == 0 {
 			continue
 		}
-		seg := h.segs[s]
 		seg.sem.Acquire(p)
-		seg.intrBuf = seg.intrBuf[:0]
-		for _, sn := range seg.snoopers {
-			r := sn.Check(tx)
-			if r.Abort {
-				res.Aborted = true
-			}
-			if r.Seen {
-				res.SharedSeen = true
-			}
-			if r.Interrupt {
-				seg.intrBuf = append(seg.intrBuf, sn) //vmplint:allow hotalloc reused per-segment scratch reaches snooper-count capacity once; the interconnect/cross-link micro pins 0 allocs/op
-			}
-		}
-		for _, sn := range seg.intrBuf {
-			sn.Post(tx)
-		}
-		h.charge(seg, tx.Requester, probe)
-		h.emit(obs.KindBus, tx, probe, 1+s, obs.FlagConsistency)
+		seg.check(tx, &res)
+		seg.charge(tx.Requester, probe)
+		seg.emit(tx, probe, Result{})
 		p.Delay(probe)
 		seg.sem.Release()
 	}
 	h.link.Release()
-	return res
-}
-
-// commit runs the transaction on its home segment: the local check
-// window, fault injection, transfer timing, the requester's own table
-// update, counters, tracing and the observer — the reference Bus.Do
-// semantics with the already-gathered remote reactions folded into the
-// abort decision.
-//
-//vmplint:hotpath
-func (h *Hierarchy) commit(p *sim.Process, tx Transaction, home int, res Result) Result {
-	seg := h.segs[home]
-	seg.sem.Acquire(p)
-	defer seg.sem.Release()
-
-	if tx.Op.ConsistencyRelated() {
-		seg.intrBuf = seg.intrBuf[:0]
-		for _, sn := range seg.snoopers {
-			r := sn.Check(tx)
-			if r.Abort {
-				res.Aborted = true
-			}
-			if r.Seen {
-				res.SharedSeen = true
-			}
-			if r.Interrupt {
-				seg.intrBuf = append(seg.intrBuf, sn) //vmplint:allow hotalloc reused per-segment scratch reaches snooper-count capacity once; the interconnect/local-hit micro pins 0 allocs/op
-			}
-		}
-		for _, sn := range seg.intrBuf {
-			sn.Post(tx)
-		}
-	}
-
-	if h.inj != nil && !res.Aborted && tx.Requester != NoRequester {
-		if tx.Op.ConsistencyRelated() && h.inj.AbortTransient(tx.Op) {
-			res.Aborted = true
-			res.SpuriousAbort = true
-		} else if tx.Op.Transfers() && tx.Bytes > 0 && h.inj.TransferError(tx.Op) {
-			res.TransferErr = true
-		}
-	}
-
-	var busy sim.Time
-	switch {
-	case res.Aborted:
-		busy = h.timing.AbortTime()
-		h.aborts.Inc()
-	case res.TransferErr:
-		busy = h.timing.AbortTime()
-		h.xferErrs.Inc()
-	default:
-		busy = h.timing.TransferTime(tx.Op, tx.Bytes)
-		h.bytes.Add(int64(tx.Bytes))
-		if tx.Requester != NoRequester && (tx.Op.ConsistencyRelated() || tx.Op == WriteActionTable) {
-			if sn, ok := h.boardSnoop[tx.Requester]; ok {
-				sn.UpdateFromOwn(tx, res)
-			}
-		}
-	}
-	h.tx[tx.Op].Inc()
-	h.charge(seg, tx.Requester, busy)
-	var fl uint8
-	if tx.Op.ConsistencyRelated() {
-		fl |= obs.FlagConsistency
-	}
-	if res.Aborted {
-		fl |= obs.FlagAborted
-	}
-	if res.SpuriousAbort {
-		fl |= obs.FlagSpurious
-	}
-	if res.TransferErr {
-		fl |= obs.FlagTransferErr
-	}
-	h.emit(obs.KindBus, tx, busy, 1+home, fl)
-	if h.observer != nil {
-		h.observer(tx, res)
-	}
-	p.Delay(busy)
 	return res
 }
 

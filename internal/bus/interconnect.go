@@ -13,8 +13,9 @@ import (
 //
 //   - *Bus, the reference single shared VMEbus (byte-identical to the
 //     pre-interface machine for every historical scenario), and
-//   - *Hierarchy, boards grouped onto local bus segments joined by an
-//     inter-bus link with an inclusion filter (hierarchy.go).
+//   - *Hierarchy, boards grouped onto local bus segments, each itself a
+//     *Bus, joined by an inter-bus link with an inclusion filter
+//     (hierarchy.go).
 //
 // Everything above the interconnect — boards, monitors, copiers, the
 // miss handler, the kernel — issues transactions through Do and never
@@ -45,9 +46,6 @@ type Interconnect interface {
 	// Utilization returns the mean fraction of simulated time the
 	// interconnect's bus segments were busy.
 	Utilization() float64
-	// BoardBusyTime returns the accumulated occupancy charged to a
-	// board's transactions.
-	BoardBusyTime(id int) sim.Time
 }
 
 // Both implementations must satisfy the full surface.

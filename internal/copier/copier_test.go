@@ -141,7 +141,7 @@ func TestCopierRequesterStamped(t *testing.T) {
 		c.Run(p, bus.Transaction{Op: bus.WriteBack, PAddr: 0, Bytes: 256})
 	})
 	eng.Run()
-	if got := b.BoardBusyTime(3); got == 0 {
+	if got := eng.Recorder().Value("bus/board3/busy-ns"); got == 0 {
 		t.Error("transfer not charged to board 3")
 	}
 }

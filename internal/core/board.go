@@ -407,9 +407,7 @@ func (b *Board) missFill(p *sim.Process, asid uint8, vaddr uint32, acc cache.Acc
 	}
 	fi.slots = append(fi.slots, victim)
 	fi.state = st
-	if b.m.checker != nil {
-		b.m.checker.acquired(b.ID, frame, fi.state)
-	}
+	b.m.checker.acquired(b.ID, frame, fi.state)
 	if acc.Write {
 		b.m.VM.SetModified(asid, vaddr)
 	} else {
@@ -615,9 +613,7 @@ func (b *Board) missFillNested(p *sim.Process, asid uint8, vaddr uint32, acc cac
 	}
 	fi.slots = append(fi.slots, victim)
 	fi.state = psShared
-	if b.m.checker != nil {
-		b.m.checker.acquired(b.ID, frame, fi.state)
-	}
+	b.m.checker.acquired(b.ID, frame, fi.state)
 	p.Delay(t.Handler.Epilogue)
 	return false, nil
 }
@@ -664,9 +660,7 @@ func (b *Board) evict(p *sim.Process, victim cache.SlotID) {
 			}
 			b.emitPhase(obs.PhaseWriteBack, ts, p.Now()-ts, 0, b.frameAddr(frame), fl)
 		}
-		if b.m.checker != nil {
-			b.m.checker.released(b.ID, frame)
-		}
+		b.m.checker.released(b.ID, frame)
 	} else {
 		// Clean page (shared, or private-but-unmodified): drop the copy
 		// silently. The action-table entry is left stale — clearing it
@@ -674,7 +668,7 @@ func (b *Board) evict(p *sim.Process, victim cache.SlotID) {
 		// and the interrupt-service path handles the resulting stale
 		// words idempotently (see handleWord).
 		p.Delay(b.timing().Handler.BookkeepWB)
-		if fi.state == psPrivate && b.m.checker != nil {
+		if fi.state == psPrivate {
 			b.m.checker.released(b.ID, frame)
 		}
 	}
@@ -694,7 +688,7 @@ func (b *Board) detachSlot(frame uint32, fi *frameInfo, slot cache.SlotID) {
 	}
 	if len(fi.slots) == 0 {
 		delete(b.frames, frame)
-		if fi.state == psShared && b.m.checker != nil {
+		if fi.state == psShared {
 			b.m.checker.released(b.ID, frame)
 		}
 	}
@@ -754,9 +748,7 @@ func (b *Board) upgradeOwnership(p *sim.Process, asid uint8, vaddr uint32, attem
 	fi.state = psPrivate
 	st := b.Cache.SlotState(slot)
 	b.Cache.SetFlags(slot, st.Flags|cache.Exclusive)
-	if b.m.checker != nil {
-		b.m.checker.upgraded(b.ID, frame)
-	}
+	b.m.checker.upgraded(b.ID, frame)
 	b.m.VM.SetModified(asid, vaddr)
 	p.Delay(t.Handler.Epilogue)
 	return false
@@ -853,16 +845,12 @@ func (b *Board) releaseOwnership(p *sim.Process, frame uint32, fi *frameInfo, ke
 		b.Cache.Downgrade(slot)
 		fi.state = psShared
 		b.ctr.downgradesIn.Inc()
-		if b.m.checker != nil {
-			b.m.checker.downgraded(b.ID, frame)
-		}
+		b.m.checker.downgraded(b.ID, frame)
 	} else {
 		b.Cache.Invalidate(slot)
 		b.detachSlot(frame, fi, slot)
 		b.ctr.invalidationsIn.Inc()
-		if b.m.checker != nil {
-			b.m.checker.released(b.ID, frame)
-		}
+		b.m.checker.released(b.ID, frame)
 	}
 }
 

@@ -47,9 +47,6 @@ type Config struct {
 	// Protocol names the coherence protocol from the internal/protocol
 	// registry ("" = the default 2-state "vmp2").
 	Protocol string
-	// DisableChecker turns off the protocol-invariant oracle (useful
-	// only for benchmarking the simulator itself).
-	DisableChecker bool
 	// Faults, when non-nil and enabled, attaches the deterministic
 	// fault-injection layer (see internal/fault).
 	Faults *fault.Spec
@@ -201,6 +198,7 @@ func NewMachine(cfg Config) (*Machine, error) {
 		VM:          vm.New(mem),
 		cfg:         cfg,
 		proto:       proto,
+		checker:     newChecker(),
 		finishTimes: make(map[int]sim.Time),
 	}
 	if cfg.BusTiming != (bus.Timing{}) {
@@ -209,9 +207,6 @@ func NewMachine(cfg Config) (*Machine, error) {
 	if cfg.Obs != nil {
 		m.sink = obs.NewSink(*cfg.Obs, eng.Now)
 		m.Bus.SetSink(m.sink)
-	}
-	if !cfg.DisableChecker {
-		m.checker = newChecker()
 	}
 	m.starve = eng.Recorder().Counter("check/starvation-events")
 	for i := 0; i < cfg.Processors; i++ {
@@ -538,11 +533,9 @@ func (m *Machine) checkInvariants() []string {
 		m.watch.FinalSweep()
 		out = append(out, m.watch.Violations()...)
 	}
-	if m.checker != nil {
-		out = append(out, m.checker.Violations()...)
-		if !m.pendingWords() {
-			out = append(out, m.checker.quiescentCheck()...)
-		}
+	out = append(out, m.checker.Violations()...)
+	if !m.pendingWords() {
+		out = append(out, m.checker.quiescentCheck()...)
 	}
 	for _, b := range m.Boards {
 		out = append(out, m.checkBoard(b)...)

@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"go/types"
 	"path/filepath"
 	"regexp"
 	"runtime"
@@ -187,6 +188,51 @@ func TestLockDisc(t *testing.T) {
 	got := suppressedOnly(fs)
 	if len(got) != 1 || !strings.Contains(got[0].Reason, "ownership transfers") {
 		t.Errorf("want 1 suppressed finding with the handoff reason, got %v", got)
+	}
+}
+
+// TestLockTablesResolve keeps lockdisc's declared tables live: a
+// lockRank key or flagLocks entry naming a field that no longer exists
+// matches no lock, so its rank or flag rule silently stops applying.
+// Every entry must name a real struct field of the typechecked module
+// or, for the fixture ranks, of the lockdisc fixture package.
+func TestLockTablesResolve(t *testing.T) {
+	if testing.Short() {
+		t.Skip("typechecks the whole module")
+	}
+	fixture, err := testLoader(t).CheckDir(filepath.Join(repoRoot(t), "internal", "lint", "testdata", "src", "lockdisc"), "vmp/internal/fixture/lockdisc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// fields holds "<pkgname>.<Type>.<field>" (lockKey's form) and
+	// "<Type>.<field>" (flagLock's form) for every named struct type.
+	fields := make(map[string]bool)
+	for _, p := range append(modulePackages(t), fixture) {
+		scope := p.Pkg.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				fields[p.Pkg.Name()+"."+name+"."+st.Field(i).Name()] = true
+				fields[name+"."+st.Field(i).Name()] = true
+			}
+		}
+	}
+	for key := range lockRank {
+		if !fields[key] {
+			t.Errorf("lockRank key %q names no struct field", key)
+		}
+	}
+	for _, fl := range flagLocks {
+		if !fields[fl.typeName+"."+fl.field] {
+			t.Errorf("flagLocks entry %s.%s names no struct field", fl.typeName, fl.field)
+		}
 	}
 }
 

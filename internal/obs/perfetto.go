@@ -80,11 +80,31 @@ func micros(ns int64) string { return fmt.Sprintf("%d.%03d", ns/1000, ns%1000) }
 // document. Events must come from one run (one simulated clock); they
 // are written in stream order, which trace viewers accept unsorted.
 func WriteTrace(w io.Writer, events []Event) error {
+	return writeTraceDoc(w, func(emit func(string)) { writeSimRows(emit, events) })
+}
+
+// writeTraceDoc wraps the rows body emits in one trace-event JSON
+// document.
+func writeTraceDoc(w io.Writer, body func(emit func(string))) error {
 	bw := bufio.NewWriter(w)
 	bw.WriteString("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n")
+	first := true
+	body(func(line string) {
+		if !first {
+			bw.WriteString(",\n")
+		}
+		first = false
+		bw.WriteString(line)
+	})
+	bw.WriteString("\n]}\n")
+	return bw.Flush()
+}
 
-	// Thread-name metadata rows for every track the stream touches, in
-	// a fixed order so identical streams produce identical documents.
+// writeSimRows emits the sim-clock part of a trace: thread-name
+// metadata for the bus track and every track the stream touches, in a
+// fixed order so identical streams produce identical documents, then
+// one row per event.
+func writeSimRows(emit func(string), events []Event) {
 	type track struct {
 		tid  int
 		name string
@@ -124,14 +144,6 @@ func WriteTrace(w io.Writer, events []Event) error {
 		addTrack(cpuTID(b), fmt.Sprintf("board%d", b))
 		addTrack(copierTID(b), fmt.Sprintf("board%d/copier", b))
 	}
-	first := true
-	emit := func(line string) {
-		if !first {
-			bw.WriteString(",\n")
-		}
-		first = false
-		bw.WriteString(line)
-	}
 	for i, t := range tracks {
 		emit(fmt.Sprintf(`{"ph":"M","pid":0,"tid":%d,"name":"thread_name","args":{"name":%q}}`, t.tid, t.name))
 		emit(fmt.Sprintf(`{"ph":"M","pid":0,"tid":%d,"name":"thread_sort_index","args":{"sort_index":%d}}`, t.tid, i))
@@ -153,6 +165,4 @@ func WriteTrace(w io.Writer, events []Event) error {
 				tid, micros(int64(e.Time)), name, args))
 		}
 	}
-	bw.WriteString("\n]}\n")
-	return bw.Flush()
 }

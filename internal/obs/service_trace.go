@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"sort"
@@ -50,87 +49,32 @@ func WriteServiceTrace(w io.Writer, spans []telemetry.Span, events []Event) erro
 		tids[n] = svcTIDBase + i
 	}
 
-	bw := bufio.NewWriter(w)
-	bw.WriteString("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n")
-	first := true
-	emit := func(line string) {
-		if !first {
-			bw.WriteString(",\n")
+	return writeTraceDoc(w, func(emit func(string)) {
+		for i, n := range names {
+			tid := tids[n]
+			emit(fmt.Sprintf(`{"ph":"M","pid":0,"tid":%d,"name":"thread_name","args":{"name":%q}}`, tid, "svc:"+n))
+			emit(fmt.Sprintf(`{"ph":"M","pid":0,"tid":%d,"name":"thread_sort_index","args":{"sort_index":%d}}`, tid, -maxSvcTracks+i))
 		}
-		first = false
-		bw.WriteString(line)
-	}
-
-	for i, n := range names {
-		tid := tids[n]
-		emit(fmt.Sprintf(`{"ph":"M","pid":0,"tid":%d,"name":"thread_name","args":{"name":%q}}`, tid, "svc:"+n))
-		emit(fmt.Sprintf(`{"ph":"M","pid":0,"tid":%d,"name":"thread_sort_index","args":{"sort_index":%d}}`, tid, -maxSvcTracks+i))
-	}
-	for _, s := range spans {
-		tid, ok := tids[s.Track]
-		if !ok {
-			continue // beyond the track budget
+		for _, s := range spans {
+			tid, ok := tids[s.Track]
+			if !ok {
+				continue // beyond the track budget
+			}
+			args := "{}"
+			if s.Note != "" {
+				args = fmt.Sprintf(`{"note":%q}`, s.Note)
+			}
+			if s.Dur > 0 {
+				emit(fmt.Sprintf(`{"ph":"X","pid":0,"tid":%d,"ts":%s,"dur":%s,"name":%q,"args":%s}`,
+					tid, micros(s.Start.Nanoseconds()), micros(s.Dur.Nanoseconds()), s.Name, args))
+			} else {
+				emit(fmt.Sprintf(`{"ph":"i","pid":0,"tid":%d,"ts":%s,"s":"t","name":%q,"args":%s}`,
+					tid, micros(s.Start.Nanoseconds()), s.Name, args))
+			}
 		}
-		args := "{}"
-		if s.Note != "" {
-			args = fmt.Sprintf(`{"note":%q}`, s.Note)
+		// A spans-only document gets no sim tracks, not even the bus.
+		if len(events) > 0 {
+			writeSimRows(emit, events)
 		}
-		if s.Dur > 0 {
-			emit(fmt.Sprintf(`{"ph":"X","pid":0,"tid":%d,"ts":%s,"dur":%s,"name":%q,"args":%s}`,
-				tid, micros(s.Start.Nanoseconds()), micros(s.Dur.Nanoseconds()), s.Name, args))
-		} else {
-			emit(fmt.Sprintf(`{"ph":"i","pid":0,"tid":%d,"ts":%s,"s":"t","name":%q,"args":%s}`,
-				tid, micros(s.Start.Nanoseconds()), s.Name, args))
-		}
-	}
-
-	// Sim-event rows: same rendering as WriteTrace, inlined here so the
-	// combined document is a single JSON array.
-	type track struct {
-		tid  int
-		name string
-	}
-	seenTID := map[int]bool{}
-	var simTracks []track
-	addTrack := func(tid int, name string) {
-		if !seenTID[tid] {
-			seenTID[tid] = true
-			simTracks = append(simTracks, track{tid, name})
-		}
-	}
-	if len(events) > 0 {
-		addTrack(busTID, "bus")
-	}
-	maxBoard := int16(-1)
-	for _, e := range events {
-		if e.Board > maxBoard {
-			maxBoard = e.Board
-		}
-	}
-	for b := int16(0); b <= maxBoard; b++ {
-		addTrack(cpuTID(b), fmt.Sprintf("board%d", b))
-		addTrack(copierTID(b), fmt.Sprintf("board%d/copier", b))
-	}
-	for i, t := range simTracks {
-		emit(fmt.Sprintf(`{"ph":"M","pid":0,"tid":%d,"name":"thread_name","args":{"name":%q}}`, t.tid, t.name))
-		emit(fmt.Sprintf(`{"ph":"M","pid":0,"tid":%d,"name":"thread_sort_index","args":{"sort_index":%d}}`, t.tid, i))
-	}
-	for _, e := range events {
-		tid := traceTID(e)
-		name := traceName(e)
-		args := fmt.Sprintf(`{"paddr":"%#08x","board":%d,"asid":%d`, e.PAddr, e.Board, e.ASID)
-		if fs := flagString(e.Flags &^ FlagConsistency); fs != "" {
-			args += fmt.Sprintf(`,"flags":%q`, fs)
-		}
-		args += "}"
-		if e.Dur > 0 {
-			emit(fmt.Sprintf(`{"ph":"X","pid":0,"tid":%d,"ts":%s,"dur":%s,"name":%q,"args":%s}`,
-				tid, micros(int64(e.Time)), micros(int64(e.Dur)), name, args))
-		} else {
-			emit(fmt.Sprintf(`{"ph":"i","pid":0,"tid":%d,"ts":%s,"s":"t","name":%q,"args":%s}`,
-				tid, micros(int64(e.Time)), name, args))
-		}
-	}
-	bw.WriteString("\n]}\n")
-	return bw.Flush()
+	})
 }
