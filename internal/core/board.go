@@ -255,29 +255,38 @@ func (b *Board) Access(p *sim.Process, asid uint8, vaddr uint32, acc cache.Acces
 	b.ctr.refs.Inc()
 	// Bus-monitor interrupts are serviced between instructions.
 	b.ServiceInterrupts(p)
+	return b.resolve(p, asid, vaddr, acc, 0)
+}
+
+// resolve is the one lookup/retry loop: look the reference up, run the
+// miss or upgrade handler until it hits, and count consecutive aborts
+// against the starvation watchdog. depth is the page-table recursion
+// depth: 0 for a CPU reference, 1 for the table walk's own page-table
+// reference (see translate).
+func (b *Board) resolve(p *sim.Process, asid uint8, vaddr uint32, acc cache.Access, depth int) error {
+	if depth > 2 {
+		panic("core: page-table miss recursion too deep")
+	}
 	attempt := 0
 	for {
-		_, res := b.Cache.Lookup(asid, vaddr, acc)
-		switch res {
+		var retried bool
+		switch _, res := b.Cache.Lookup(asid, vaddr, acc); res {
 		case cache.Hit:
 			return nil
 		case cache.Miss:
-			retried, err := b.missFill(p, asid, vaddr, acc, attempt)
-			if err != nil {
+			var err error
+			if retried, err = b.missFill(p, asid, vaddr, acc, depth, attempt); err != nil {
 				return err
 			}
-			if retried {
-				attempt++
-				b.noteRetry(attempt)
-			}
 		case cache.WriteMiss:
-			if b.upgradeOwnership(p, asid, vaddr, attempt) {
-				attempt++
-				b.noteRetry(attempt)
-			}
+			retried = b.upgradeOwnership(p, asid, vaddr, attempt)
 		case cache.ProtFault:
 			b.ctr.protFaults.Inc()
 			return fmt.Errorf("core: protection fault board=%d asid=%d vaddr=%#x", b.ID, asid, vaddr)
+		}
+		if retried {
+			attempt++
+			b.noteRetry(attempt)
 		}
 	}
 }
@@ -299,45 +308,60 @@ func (b *Board) PAddrOf(asid uint8, vaddr uint32) (uint32, bool) {
 	return b.frameAddr(b.slotFrame[slot]) + vaddr%uint32(b.pageSize()), true
 }
 
-// missFill is the software cache-miss handler (Section 2): trap, pick a
-// victim, write it back if needed, translate, program the block copier,
-// update the local tables, return from the exception. An ownership
-// conflict aborts the fill; the instruction re-traps and the handler
-// runs again, after servicing the interrupt words that tell this board
-// what to release. attempt is the caller's consecutive-retry count for
-// this reference (it scales the backoff); the retried result reports
-// whether this invocation ended in an abort.
-func (b *Board) missFill(p *sim.Process, asid uint8, vaddr uint32, acc cache.Access, attempt int) (retried bool, err error) {
+// missFill is the software cache-miss handler (Section 2): trap,
+// translate, pick a victim and write it back if needed, program the
+// block copier, update the local tables, return from the exception.
+// VMP caches its own page tables, so the table walk's page-table
+// reference can miss as well and runs this same handler at depth 1.
+// Every difference from a top-level miss (depth 0) is a `top` test
+// below: the page-table fill always reads shared (page-table pages are
+// shared metadata under every protocol; vmp3's plain read fill would be
+// read-exclusive), the read-private hint is not consulted, a bus fill
+// sets no VM referenced/modified mark, and only the one nested miss
+// span is traced, with no latency sample (its time is inside the
+// parent's). An ownership conflict aborts the fill; the instruction
+// re-traps and the handler runs again, after servicing the interrupt
+// words that tell this board what to release. attempt is the caller's
+// consecutive-retry count for this reference (it scales the backoff);
+// the retried result reports whether this invocation ended in an abort.
+func (b *Board) missFill(p *sim.Process, asid uint8, vaddr uint32, acc cache.Access, depth, attempt int) (retried bool, err error) {
 	t := b.timing()
+	top := depth == 0
+	// The phase decomposition is traced for top-level misses only.
+	phases := top && b.sink != nil
 	start := p.Now()
 	defer func() {
 		d := p.Now() - start
 		b.ctr.missTimeNs.Add(int64(d))
-		b.missHist.Add(d.Micros())
+		var fl uint8
+		if top {
+			b.missHist.Add(d.Micros())
+		} else {
+			fl = obs.FlagNested
+		}
 		if b.sink != nil {
-			var fl uint8
 			if retried {
-				fl = obs.FlagAborted
+				fl |= obs.FlagAborted
 			}
 			b.emitPhase(obs.PhaseMiss, start, d, asid, 0, fl)
 		}
 	}()
 
 	p.Delay(t.Handler.TrapEntry)
-	if b.sink != nil {
+	if phases {
 		b.emitPhase(obs.PhaseTrap, start, t.Handler.TrapEntry, asid, 0, 0)
 	}
 
 	// Translate first (the table walk may recursively miss and fill the
 	// page-table's own cache page, so the victim is chosen after).
 	ts := p.Now()
-	walk, err := b.translate(p, asid, vaddr, acc, 0)
+	walk, err := b.translate(p, asid, vaddr, acc, depth)
 	if err != nil {
 		return false, err
 	}
 	frame := b.frameOf(walk.PAddr)
 	pageAddr := b.frameAddr(frame)
-	if b.sink != nil {
+	if phases {
 		b.emitPhase(obs.PhaseTranslate, ts, p.Now()-ts, asid, pageAddr, 0)
 	}
 
@@ -346,17 +370,17 @@ func (b *Board) missFill(p *sim.Process, asid uint8, vaddr uint32, acc cache.Acc
 	p.Delay(t.Handler.VictimSelect)
 	victim := b.Cache.SuggestVictim(vaddr)
 	b.evict(p, victim)
-	if b.sink != nil {
+	if phases {
 		b.emitPhase(obs.PhaseVictim, ts, p.Now()-ts, asid, pageAddr, 0)
 	}
 
 	// A reverse-lookup-table protocol first checks whether the frame is
 	// already cached under another virtual name and, if so, attaches
 	// the new name locally — no bus transaction, no self-competition.
-	wantPrivate := acc.Write || (b.readPrivateOnRead != nil && b.readPrivateOnRead(asid, vaddr))
+	wantPrivate := acc.Write || (top && b.readPrivateOnRead != nil && b.readPrivateOnRead(asid, vaddr))
 	if b.proto.LocalSynonyms() && b.attachSynonym(p, victim, asid, vaddr, acc, frame, walk.PTE) {
 		p.Delay(t.Handler.Epilogue)
-		if b.sink != nil {
+		if phases {
 			b.emitPhase(obs.PhaseEpilogue, p.Now()-t.Handler.Epilogue, t.Handler.Epilogue, asid, pageAddr, 0)
 		}
 		return false, nil
@@ -364,7 +388,10 @@ func (b *Board) missFill(p *sim.Process, asid uint8, vaddr uint32, acc cache.Acc
 
 	// Resolve our own aliases for the target frame before going to the
 	// bus, from local-memory state (see the monitor package comment).
-	op := b.proto.FillOp(wantPrivate)
+	op := bus.ReadShared
+	if top {
+		op = b.proto.FillOp(wantPrivate)
+	}
 	b.resolveOwnAliases(p, frame, wantPrivate)
 
 	// Program the block copier; bookkeeping overlaps the transfer.
@@ -372,7 +399,7 @@ func (b *Board) missFill(p *sim.Process, asid uint8, vaddr uint32, acc cache.Acc
 	b.Cop.Start(bus.Transaction{Op: op, PAddr: pageAddr, Bytes: b.pageSize()})
 	p.Delay(t.Handler.BookkeepRead)
 	res := b.Cop.Wait(p)
-	if b.sink != nil {
+	if phases {
 		var fl uint8
 		if res.Aborted {
 			fl = obs.FlagAborted
@@ -388,14 +415,15 @@ func (b *Board) missFill(p *sim.Process, asid uint8, vaddr uint32, acc cache.Acc
 		p.Delay(b.retryBackoff(attempt))
 		b.resolveOwnConflict(p, frame)
 		b.ServiceInterrupts(p)
-		if b.sink != nil {
+		if phases {
 			b.emitPhase(obs.PhaseRetry, ts, p.Now()-ts, asid, pageAddr, 0)
 		}
-		return true, nil // Access re-looks-up and re-traps
+		return true, nil // resolve re-looks-up and re-traps
 	}
 
 	// Fill the slot and update the local tables with the granted state
-	// (for an exclusive-clean read, the shared line decides it).
+	// (for an exclusive-clean read, the shared line decides it; a
+	// read-shared fill is shared under every protocol).
 	st := b.proto.FillState(op, res.SharedSeen)
 	flags := b.fillFlags(walk.PTE, st, acc)
 	b.Cache.Fill(victim, asid, vaddr, flags)
@@ -408,14 +436,16 @@ func (b *Board) missFill(p *sim.Process, asid uint8, vaddr uint32, acc cache.Acc
 	fi.slots = append(fi.slots, victim)
 	fi.state = st
 	b.m.checker.acquired(b.ID, frame, fi.state)
-	if acc.Write {
-		b.m.VM.SetModified(asid, vaddr)
-	} else {
-		b.m.VM.SetReferenced(asid, vaddr)
+	if top {
+		if acc.Write {
+			b.m.VM.SetModified(asid, vaddr)
+		} else {
+			b.m.VM.SetReferenced(asid, vaddr)
+		}
 	}
 
 	p.Delay(t.Handler.Epilogue)
-	if b.sink != nil {
+	if phases {
 		b.emitPhase(obs.PhaseEpilogue, p.Now()-t.Handler.Epilogue, t.Handler.Epilogue, asid, pageAddr, 0)
 	}
 	return false, nil
@@ -489,9 +519,11 @@ func (b *Board) attachSynonym(p *sim.Process, victim cache.SlotID, asid uint8, v
 }
 
 // translate performs the software table walk, charging handler time and
-// routing the L2 page-table-entry access through the cache (which can
-// recursively miss, depth-bounded by the PT-space direct map). Faults
-// are served by the operating system's demand-zero handler.
+// routing the L2 page-table-entry access through the cache: a top-level
+// walk resolves it at depth+1, where it can miss into missFill once
+// (PT-space entries translate from local memory, so the recursion stops
+// there). Faults are served by the operating system's demand-zero
+// handler.
 func (b *Board) translate(p *sim.Process, asid uint8, vaddr uint32, acc cache.Access, depth int) (vm.Walk, error) {
 	t := b.timing()
 	p.Delay(t.Handler.Translate)
@@ -502,7 +534,7 @@ func (b *Board) translate(p *sim.Process, asid uint8, vaddr uint32, acc cache.Ac
 			// copy of the translation. PT-space entries (L2VAddr == 0)
 			// come from local memory and cost nothing extra.
 			if walk.L2VAddr != 0 && depth == 0 {
-				if err := b.refNested(p, asid, walk.L2VAddr, depth+1); err != nil {
+				if err := b.resolve(p, asid, walk.L2VAddr, cache.Access{Super: true}, depth+1); err != nil {
 					return vm.Walk{}, err
 				}
 			}
@@ -523,99 +555,9 @@ func (b *Board) translate(p *sim.Process, asid uint8, vaddr uint32, acc cache.Ac
 			return vm.Walk{}, ferr
 		}
 		for _, rp := range res.Reclaimed {
-			b.flushReclaimed(p, rp)
+			b.flushVMPage(p, rp.Frame)
 		}
 	}
-}
-
-// refNested routes a nested (page-table) reference through the cache,
-// recursing into the miss handler at most once.
-func (b *Board) refNested(p *sim.Process, asid uint8, vaddr uint32, depth int) error {
-	if depth > 2 {
-		panic("core: page-table miss recursion too deep")
-	}
-	acc := cache.Access{Super: true}
-	attempt := 0
-	for {
-		_, res := b.Cache.Lookup(asid, vaddr, acc)
-		switch res {
-		case cache.Hit:
-			return nil
-		case cache.Miss:
-			retried, err := b.missFillNested(p, asid, vaddr, acc, depth, attempt)
-			if err != nil {
-				return err
-			}
-			if retried {
-				attempt++
-				b.noteRetry(attempt)
-			}
-		default:
-			return fmt.Errorf("core: unexpected %v on page-table reference %#x", res, vaddr)
-		}
-	}
-}
-
-// missFillNested is the miss handler for a page-table reference taken
-// while translating another miss, with the recursion depth threaded
-// through to translate. It is a separate, simplified copy of missFill,
-// not a call into it: it always fills with ReadShared (page-table pages
-// are shared metadata under every protocol), records no miss-latency
-// histogram sample, emits only its one nested miss-phase event, and
-// does not set the VM referenced mark.
-func (b *Board) missFillNested(p *sim.Process, asid uint8, vaddr uint32, acc cache.Access, depth, attempt int) (retried bool, err error) {
-	t := b.timing()
-	start := p.Now()
-	defer func() {
-		d := p.Now() - start
-		b.ctr.missTimeNs.Add(int64(d))
-		if b.sink != nil {
-			fl := uint8(obs.FlagNested)
-			if retried {
-				fl |= obs.FlagAborted
-			}
-			b.emitPhase(obs.PhaseMiss, start, d, asid, 0, fl)
-		}
-	}()
-
-	p.Delay(t.Handler.TrapEntry)
-	walk, err := b.translate(p, asid, vaddr, acc, depth)
-	if err != nil {
-		return false, err
-	}
-	frame := b.frameOf(walk.PAddr)
-	p.Delay(t.Handler.VictimSelect)
-	victim := b.Cache.SuggestVictim(vaddr)
-	b.evict(p, victim)
-	// Page-table pages are shared metadata under every protocol: the
-	// nested fill always reads shared (no exclusive-clean probing), but
-	// a reverse-lookup-table protocol still resolves synonyms locally.
-	if b.proto.LocalSynonyms() && b.attachSynonym(p, victim, asid, vaddr, acc, frame, walk.PTE) {
-		p.Delay(t.Handler.Epilogue)
-		return false, nil
-	}
-	b.resolveOwnAliases(p, frame, false)
-	b.Cop.Start(bus.Transaction{Op: bus.ReadShared, PAddr: b.frameAddr(frame), Bytes: b.pageSize()})
-	p.Delay(t.Handler.BookkeepRead)
-	if res := b.Cop.Wait(p); res.Aborted {
-		b.ctr.retries.Inc()
-		p.Delay(b.retryBackoff(attempt))
-		b.resolveOwnConflict(p, frame)
-		b.ServiceInterrupts(p)
-		return true, nil
-	}
-	b.Cache.Fill(victim, asid, vaddr, b.fillFlags(walk.PTE, psShared, acc))
-	b.slotFrame[victim] = frame
-	fi := b.frames[frame]
-	if fi == nil {
-		fi = &frameInfo{}
-		b.frames[frame] = fi
-	}
-	fi.slots = append(fi.slots, victim)
-	fi.state = psShared
-	b.m.checker.acquired(b.ID, frame, fi.state)
-	p.Delay(t.Handler.Epilogue)
-	return false, nil
 }
 
 // evict clears the suggested victim slot, writing its page back if it
@@ -694,6 +636,25 @@ func (b *Board) detachSlot(frame uint32, fi *frameInfo, slot cache.SlotID) {
 	}
 }
 
+// dropCopies invalidates every cache slot holding frame, in slot-list
+// order, detaching each from the frame record (which detachSlot deletes
+// once it is empty).
+func (b *Board) dropCopies(frame uint32, fi *frameInfo) {
+	for len(fi.slots) > 0 {
+		s := fi.slots[0]
+		b.Cache.Invalidate(s)
+		b.detachSlot(frame, fi, s)
+	}
+}
+
+// clearEntry sets this board's action-table entry for the cache page at
+// paddr back to Ignore with a write-action-table transaction.
+func (b *Board) clearEntry(p *sim.Process, paddr uint32) {
+	b.m.Bus.Do(p, bus.Transaction{
+		Op: bus.WriteActionTable, PAddr: paddr, Requester: b.ID, Action: uint8(monitor.Ignore),
+	})
+}
+
 // upgradeOwnership serves a write to a page held shared: the
 // assert-ownership negotiation of Section 3.1. On abort (an owner
 // appeared), the instruction re-traps after interrupt service; the
@@ -768,19 +729,12 @@ func (b *Board) resolveOwnAliases(p *sim.Process, frame uint32, wantPrivate bool
 		// Downgrade or release our private alias copy before the bus
 		// sees our request.
 		b.releaseOwnership(p, frame, fi, !wantPrivate)
-		if wantPrivate {
-			return
-		}
-		// Kept shared: nothing else to do.
 		return
 	}
 	if wantPrivate {
 		// Drop our shared alias copies; the fill will bring the page
 		// back private under the new virtual address.
-		for _, s := range append([]cache.SlotID(nil), fi.slots...) {
-			b.Cache.Invalidate(s)
-			b.detachSlot(frame, fi, s)
-		}
+		b.dropCopies(frame, fi)
 	}
 }
 
@@ -790,9 +744,7 @@ func (b *Board) resolveOwnAliases(p *sim.Process, frame uint32, wantPrivate bool
 func (b *Board) resolveOwnConflict(p *sim.Process, frame uint32) {
 	paddr := b.frameAddr(frame)
 	if b.frames[frame] == nil && b.Mon.Action(paddr) != monitor.Ignore && b.Mon.Action(paddr) != monitor.Notify {
-		b.m.Bus.Do(p, bus.Transaction{
-			Op: bus.WriteActionTable, PAddr: paddr, Requester: b.ID, Action: uint8(monitor.Ignore),
-		})
+		b.clearEntry(p, paddr)
 	}
 }
 
@@ -854,15 +806,14 @@ func (b *Board) releaseOwnership(p *sim.Process, frame uint32, fi *frameInfo, ke
 	}
 }
 
-// flushReclaimed pushes a page evicted by the page-out daemon out of
-// every cache: assert-ownership on each of its cache-page frames
-// (Section 3.4), then clear our own resulting table entries.
-func (b *Board) flushReclaimed(p *sim.Process, rp vm.ReclaimedPage) {
-	perVM := vm.PageSize / b.pageSize()
-	base := rp.Frame * uint32(vm.PageSize)
-	for i := 0; i < perVM; i++ {
-		paddr := base + uint32(i*b.pageSize())
-		b.assertFlush(p, paddr)
+// flushVMPage forces the VM page in physical frame vf out of every
+// cache: assert-ownership on each of its cache pages (Section 3.4),
+// then clear our own resulting table entries. The page-out daemon's
+// reclaimed pages, remaps and address-space teardown all end here.
+func (b *Board) flushVMPage(p *sim.Process, vf uint32) {
+	base := vf * uint32(vm.PageSize)
+	for off := 0; off < vm.PageSize; off += b.pageSize() {
+		b.assertFlush(p, base+uint32(off))
 	}
 }
 
@@ -872,9 +823,7 @@ func (b *Board) assertFlush(p *sim.Process, paddr uint32) {
 	b.assertFlushKeep(p, paddr)
 	// The assert left our entry Private; we do not actually hold the
 	// page, so clear it.
-	b.m.Bus.Do(p, bus.Transaction{
-		Op: bus.WriteActionTable, PAddr: paddr, Requester: b.ID, Action: uint8(monitor.Ignore),
-	})
+	b.clearEntry(p, paddr)
 }
 
 // ProtectRegion forces every cached copy of the physical region out of
@@ -895,9 +844,7 @@ func (b *Board) UnprotectRegion(p *sim.Process, paddr uint32, bytes int) {
 	for off := 0; off < bytes; off += b.pageSize() {
 		pa := paddr + uint32(off)
 		delete(b.protected, b.frameOf(pa))
-		b.m.Bus.Do(p, bus.Transaction{
-			Op: bus.WriteActionTable, PAddr: pa, Requester: b.ID, Action: uint8(monitor.Ignore),
-		})
+		b.clearEntry(p, pa)
 	}
 }
 
@@ -909,10 +856,7 @@ func (b *Board) assertFlushKeep(p *sim.Process, paddr uint32) {
 		if fi.state == psPrivate {
 			b.releaseOwnership(p, frame, fi, false)
 		} else {
-			for _, s := range append([]cache.SlotID(nil), fi.slots...) {
-				b.Cache.Invalidate(s)
-				b.detachSlot(frame, fi, s)
-			}
+			b.dropCopies(frame, fi)
 		}
 	}
 	for attempt := 0; ; attempt++ {
@@ -993,9 +937,7 @@ func (b *Board) handleWord(p *sim.Process, w monitor.Word) {
 		b.ctr.staleWords.Inc()
 		act := b.Mon.Action(w.PAddr)
 		if act == monitor.Shared || act == monitor.Private {
-			b.m.Bus.Do(p, bus.Transaction{
-				Op: bus.WriteActionTable, PAddr: w.PAddr, Requester: b.ID, Action: uint8(monitor.Ignore),
-			})
+			b.clearEntry(p, w.PAddr)
 		}
 		return
 	}
@@ -1013,14 +955,9 @@ func (b *Board) handleWord(p *sim.Process, w monitor.Word) {
 			// Shared copy: discard it and clear the entry (Section 3.3:
 			// "the processor invalidates the cache slots holding this
 			// cache page and sets the k-th action table entry to 00").
-			for _, s := range append([]cache.SlotID(nil), fi.slots...) {
-				b.Cache.Invalidate(s)
-				b.detachSlot(frame, fi, s)
-			}
+			b.dropCopies(frame, fi)
 			b.ctr.invalidationsIn.Inc()
-			b.m.Bus.Do(p, bus.Transaction{
-				Op: bus.WriteActionTable, PAddr: w.PAddr, Requester: b.ID, Action: uint8(monitor.Ignore),
-			})
+			b.clearEntry(p, w.PAddr)
 		}
 	case protocol.WordWriteBack:
 		// A write-back means someone else owns the frame. If we hold a
@@ -1030,14 +967,9 @@ func (b *Board) handleWord(p *sim.Process, w monitor.Word) {
 		// against a frame we own privately is impossible without a
 		// genuine protocol violation (our Private entry is never lost).
 		if fi.state == psShared {
-			for _, sl := range append([]cache.SlotID(nil), fi.slots...) {
-				b.Cache.Invalidate(sl)
-				b.detachSlot(frame, fi, sl)
-			}
+			b.dropCopies(frame, fi)
 			b.ctr.invalidationsIn.Inc()
-			b.m.Bus.Do(p, bus.Transaction{
-				Op: bus.WriteActionTable, PAddr: w.PAddr, Requester: b.ID, Action: uint8(monitor.Ignore),
-			})
+			b.clearEntry(p, w.PAddr)
 		} else {
 			b.ctr.violations.Inc()
 		}
@@ -1066,13 +998,8 @@ func (b *Board) recoverOverflow(p *sim.Process) {
 			continue
 		}
 		p.Delay(b.timing().Handler.RecoveryPerPage)
-		for _, s := range append([]cache.SlotID(nil), fi.slots...) {
-			b.Cache.Invalidate(s)
-			b.detachSlot(frame, fi, s)
-		}
-		b.m.Bus.Do(p, bus.Transaction{
-			Op: bus.WriteActionTable, PAddr: b.frameAddr(frame), Requester: b.ID, Action: uint8(monitor.Ignore),
-		})
+		b.dropCopies(frame, fi)
+		b.clearEntry(p, b.frameAddr(frame))
 	}
 }
 

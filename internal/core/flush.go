@@ -3,9 +3,6 @@ package core
 import (
 	"sort"
 
-	"vmp/internal/bus"
-	"vmp/internal/cache"
-	"vmp/internal/monitor"
 	"vmp/internal/sim"
 )
 
@@ -31,14 +28,8 @@ func (b *Board) FlushCache(p *sim.Process) {
 			b.releaseOwnership(p, frame, fi, false)
 			continue
 		}
-		for _, s := range append([]cache.SlotID(nil), fi.slots...) {
-			b.Cache.Invalidate(s)
-			b.detachSlot(frame, fi, s)
-		}
-		b.m.Bus.Do(p, bus.Transaction{
-			Op: bus.WriteActionTable, PAddr: b.frameAddr(frame), Requester: b.ID,
-			Action: uint8(monitor.Ignore),
-		})
+		b.dropCopies(frame, fi)
+		b.clearEntry(p, b.frameAddr(frame))
 	}
 }
 

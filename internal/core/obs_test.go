@@ -27,12 +27,19 @@ func obsWorkload(t testing.TB, m *Machine, refsPerBoard int) {
 	t.Helper()
 	const base, pages = 0x4000, 8
 	ps := uint32(m.Config().Cache.PageSize)
-	if err := m.EnsureSpace(1); err != nil {
-		t.Fatal(err)
-	}
 	addrs := make([]uint32, pages)
 	for i := range addrs {
 		addrs[i] = base + uint32(i)*ps
+	}
+	obsWorkloadAt(t, m, addrs, refsPerBoard)
+}
+
+// obsWorkloadAt runs obsWorkload's reference pattern over addrs.
+func obsWorkloadAt(t testing.TB, m *Machine, addrs []uint32, refsPerBoard int) {
+	t.Helper()
+	pages := len(addrs)
+	if err := m.EnsureSpace(1); err != nil {
+		t.Fatal(err)
 	}
 	if err := m.Prefault(1, addrs); err != nil {
 		t.Fatal(err)
@@ -55,21 +62,22 @@ func obsWorkload(t testing.TB, m *Machine, refsPerBoard int) {
 	m.Run()
 }
 
-// runStream builds a 2-board machine with the full event stream
-// retained, runs the contended workload, and returns the encoded
-// stream plus its digest.
-func runStream(t testing.TB, seed uint64) ([]byte, uint64) {
+// runStream builds a 2-board machine running the named coherence
+// protocol ("" for the default) with the full event stream retained,
+// runs the contended workload, and returns the encoded stream plus its
+// digest.
+func runStream(t testing.TB, protocol string) ([]byte, uint64) {
 	t.Helper()
 	m, err := NewMachine(Config{
 		Processors: 2,
 		Cache:      cache.Geometry(8<<10, 256, 2), // small: force evictions
 		MemorySize: 4 << 20,
+		Protocol:   protocol,
 		Obs:        &obs.Config{Stream: true},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = seed // the workload is fully deterministic; seed reserved for variants
 	obsWorkload(t, m, 1500)
 	if v := m.CheckInvariants(); len(v) != 0 {
 		t.Fatalf("invariants: %v", v)
@@ -86,7 +94,7 @@ func runStream(t testing.TB, seed uint64) ([]byte, uint64) {
 // executed alone or concurrently with identical runs on other
 // goroutines (sinks are engine-confined; nothing is shared).
 func TestSerialParallelStreamsIdentical(t *testing.T) {
-	want, wantDigest := runStream(t, 11)
+	want, wantDigest := runStream(t, "")
 	if len(want) == 0 {
 		t.Fatal("reference run produced no events")
 	}
@@ -100,7 +108,7 @@ func TestSerialParallelStreamsIdentical(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			streams[w], digests[w] = runStream(t, 11)
+			streams[w], digests[w] = runStream(t, "")
 		}()
 	}
 	wg.Wait()
@@ -111,6 +119,24 @@ func TestSerialParallelStreamsIdentical(t *testing.T) {
 		}
 		if digests[w] != wantDigest {
 			t.Errorf("parallel run %d: digest %016x, want %016x", w, digests[w], wantDigest)
+		}
+	}
+}
+
+// TestStreamDigestsPinned pins runStream's event-stream digest under
+// each protocol. TestSerialParallelStreamsIdentical only compares runs
+// with each other, so a change that shifts every run the same way
+// (event order, timing or flags) passes it; it fails here. A change
+// that alters the stream on purpose must re-pin these and say why.
+func TestStreamDigestsPinned(t *testing.T) {
+	want := map[string]uint64{
+		"vmp2": 0xf5e1d1bb5fb839cc,
+		"vmp3": 0x55e9bb6e07d11a34,
+		"rlt":  0xf5e1d1bb5fb839cc, // no aliases in this workload: rlt runs as vmp2
+	}
+	for _, proto := range []string{"vmp2", "vmp3", "rlt"} {
+		if _, got := runStream(t, proto); got != want[proto] {
+			t.Errorf("%s: stream digest %#016x, want %#016x", proto, got, want[proto])
 		}
 	}
 }
@@ -305,27 +331,85 @@ func TestSinkDisabledByDefault(t *testing.T) {
 	checkClean(t, m)
 }
 
-// TestNestedMissFlagged checks page-table fills are marked FlagNested
-// so phase analysis can separate them from top-level misses.
+// TestNestedMissFlagged pins the nested-miss contract of the one miss
+// handler on a workload certain to take page-table misses: 24 pages,
+// each with its L2 entry in a different page-table cache page, cycled
+// through a 32-slot cache by two boards (48 cache pages in all). Under every protocol a
+// page-table miss is flagged FlagNested and takes no latency sample, so
+// each board's MissLatency count equals its non-nested miss spans.
+// Under vmp3, whose top-level read fill is ReadExclusive, every fill
+// inside a nested span must be ReadShared.
 func TestNestedMissFlagged(t *testing.T) {
-	m, err := NewMachine(Config{
-		Processors: 1,
-		Cache:      cache.Geometry(8<<10, 256, 2),
-		MemorySize: 4 << 20,
-		Obs:        &obs.Config{Stream: true},
-	})
-	if err != nil {
-		t.Fatal(err)
+	addrs := make([]uint32, 24)
+	for k := range addrs {
+		// 64 VM pages apart (each L2 entry in a new page-table cache
+		// page), plus one cache page so the data spreads over the sets.
+		addrs[k] = 0x10_0000 + uint32(k)*0x4_0100
 	}
-	obsWorkload(t, m, 600)
-	var nested int
-	for _, e := range m.Sink().Stream() {
-		if e.Kind == obs.KindPhase && obs.Phase(e.Arg) == obs.PhaseMiss && e.Flags&obs.FlagNested != 0 {
-			nested++
-		}
+	isFill := func(op bus.Op) bool {
+		return op == bus.ReadShared || op == bus.ReadPrivate || op == bus.ReadExclusive
 	}
-	if nested == 0 {
-		t.Skip("workload took no nested page-table miss (acceptable; depends on geometry)")
+	for _, proto := range []string{"vmp2", "vmp3", "rlt"} {
+		t.Run(proto, func(t *testing.T) {
+			m, err := NewMachine(Config{
+				Processors: 2,
+				Cache:      cache.Geometry(8<<10, 256, 2),
+				MemorySize: 4 << 20,
+				Protocol:   proto,
+				Obs:        &obs.Config{Stream: true},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			obsWorkloadAt(t, m, addrs, 600)
+			checkClean(t, m)
+			stream := m.Sink().Stream()
+			topMisses := make([]uint64, len(m.Boards))
+			var nested []obs.Event
+			for _, e := range stream {
+				if e.Kind != obs.KindPhase || obs.Phase(e.Arg) != obs.PhaseMiss {
+					continue
+				}
+				if e.Flags&obs.FlagNested != 0 {
+					nested = append(nested, e)
+				} else {
+					topMisses[e.Board]++
+				}
+			}
+			if len(nested) == 0 {
+				t.Fatal("workload took no nested page-table miss")
+			}
+			t.Logf("%d nested miss spans, top-level spans per board %v", len(nested), topMisses)
+			for i, b := range m.Boards {
+				if got := b.MissLatency().Count(); got != topMisses[i] {
+					t.Errorf("board %d: %d miss-latency samples, %d top-level miss spans", i, got, topMisses[i])
+				}
+			}
+			if proto != "vmp3" {
+				return
+			}
+			var nestedFills, exclusiveFills int
+			for _, e := range stream {
+				if e.Kind != obs.KindCopy || !isFill(bus.Op(e.Arg)) {
+					continue
+				}
+				if bus.Op(e.Arg) == bus.ReadExclusive {
+					exclusiveFills++
+				}
+				for _, n := range nested {
+					if n.Board == e.Board && e.Time >= n.Time && e.Time+e.Dur <= n.Time+n.Dur {
+						nestedFills++
+						if bus.Op(e.Arg) != bus.ReadShared {
+							t.Errorf("fill %v at %d inside a nested miss span", bus.Op(e.Arg), e.Time)
+						}
+					}
+				}
+			}
+			if nestedFills == 0 || exclusiveFills == 0 {
+				t.Fatalf("%d fills inside nested spans, %d read-exclusive fills: the check cannot tell them apart",
+					nestedFills, exclusiveFills)
+			}
+		})
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"vmp/internal/bus"
 	"vmp/internal/cache"
+	"vmp/internal/monitor"
 	"vmp/internal/sim"
 )
 
@@ -168,16 +169,12 @@ func (c *CPU) Notify(paddr uint32) {
 // holding paddr to Notify (11) via a write-action-table transaction.
 func (c *CPU) WatchNotify(paddr uint32) {
 	c.b.m.Bus.Do(c.p, bus.Transaction{
-		Op: bus.WriteActionTable, PAddr: paddr, Requester: c.b.ID, Action: 3,
+		Op: bus.WriteActionTable, PAddr: paddr, Requester: c.b.ID, Action: uint8(monitor.Notify),
 	})
 }
 
 // UnwatchNotify clears the entry back to Ignore.
-func (c *CPU) UnwatchNotify(paddr uint32) {
-	c.b.m.Bus.Do(c.p, bus.Transaction{
-		Op: bus.WriteActionTable, PAddr: paddr, Requester: c.b.ID, Action: 0,
-	})
-}
+func (c *CPU) UnwatchNotify(paddr uint32) { c.b.clearEntry(c.p, paddr) }
 
 // ServiceInterrupts lets a program service pending consistency
 // interrupts explicitly (they are also serviced before every access).

@@ -38,18 +38,14 @@ func (b *Board) RemapPage(p *sim.Process, asid uint8, vaddr uint32, newPTE vm.PT
 	}
 
 	// 2. Flush the old physical page from every cache.
-	oldFrame := walk.PTE.Frame()
-	base := oldFrame * uint32(vm.PageSize)
-	for off := 0; off < vm.PageSize; off += b.pageSize() {
-		b.assertFlush(p, base+uint32(off))
-	}
+	b.flushVMPage(p, walk.PTE.Frame())
 
 	// 3. Update the entry.
 	_, _, err = b.m.VM.Remap(asid, vaddr, newPTE)
 	return err
 }
 
-// DestroydSpaceFlush tears down an address space and flushes every page
+// DestroySpaceFlush tears down an address space and flushes every page
 // it mapped out of all caches (Section 3.4: "Deletion of an address
 // space can be handled similarly with an assert-ownership on every
 // resident page in the address space").
@@ -59,10 +55,7 @@ func (b *Board) DestroySpaceFlush(p *sim.Process, asid uint8) error {
 		return err
 	}
 	for _, vf := range frames {
-		base := vf * uint32(vm.PageSize)
-		for off := 0; off < vm.PageSize; off += b.pageSize() {
-			b.assertFlush(p, base+uint32(off))
-		}
+		b.flushVMPage(p, vf)
 	}
 	return nil
 }

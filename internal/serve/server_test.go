@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -290,22 +291,37 @@ func blockingRunCells(name string, cells []scenario.Cell, opts scenario.RunOptio
 	return nil, opts.Ctx.Err()
 }
 
+// blockRunCells installs blockingRunCells as s's sweep entry point and
+// returns a wait function that returns once the runner has entered it
+// (the runner sets jobActive before that), failing the test with msg
+// after 5 s.
+func blockRunCells(t *testing.T, s *Server) (wait func(msg string)) {
+	entered := make(chan struct{})
+	var once sync.Once
+	s.runCells = func(name string, cells []scenario.Cell, opts scenario.RunOptions) (*scenario.SweepResult, error) {
+		once.Do(func() { close(entered) })
+		return blockingRunCells(name, cells, opts)
+	}
+	return func(msg string) {
+		t.Helper()
+		select {
+		case <-entered:
+		case <-time.After(5 * time.Second):
+			t.Fatal(msg)
+		}
+	}
+}
+
 func TestQueueSaturationSheds429(t *testing.T) {
 	s, ts := testServer(t, func(c *Config) { c.QueueDepth = 1 })
-	s.runCells = blockingRunCells
+	waitRunning := blockRunCells(t, s)
 
 	// First job: picked up by the runner, parks.
 	resp, body := post(t, ts.URL+"/v1/specs", mustJSON(t, smallSpec("slow-0")), "c")
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit 0 = %d: %s", resp.StatusCode, body)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for !s.jobActive.Load() {
-		if time.Now().After(deadline) {
-			t.Fatal("runner never picked up the first job")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitRunning("runner never picked up the first job")
 	// Second job fills the queue; third is shed.
 	resp, body = post(t, ts.URL+"/v1/specs", mustJSON(t, smallSpec("slow-1")), "c")
 	if resp.StatusCode != http.StatusAccepted {
@@ -503,7 +519,7 @@ func TestDrainRefusesNewWork(t *testing.T) {
 
 func TestDrainDeadlineCancelsStuckJobs(t *testing.T) {
 	s, ts := testServer(t, nil)
-	s.runCells = blockingRunCells
+	waitRunning := blockRunCells(t, s)
 
 	resp, data := post(t, ts.URL+"/v1/specs", mustJSON(t, smallSpec("wedged")), "c")
 	if resp.StatusCode != http.StatusAccepted {
@@ -511,13 +527,7 @@ func TestDrainDeadlineCancelsStuckJobs(t *testing.T) {
 	}
 	var sub submitResponse
 	json.Unmarshal(data, &sub)
-	deadline := time.Now().Add(5 * time.Second)
-	for !s.jobActive.Load() {
-		if time.Now().After(deadline) {
-			t.Fatal("runner never started the job")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitRunning("runner never started the job")
 
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
@@ -532,16 +542,10 @@ func TestDrainDeadlineCancelsStuckJobs(t *testing.T) {
 
 func TestCancelQueuedJob(t *testing.T) {
 	s, ts := testServer(t, func(c *Config) { c.QueueDepth = 2 })
-	s.runCells = blockingRunCells
+	waitRunning := blockRunCells(t, s)
 
 	post(t, ts.URL+"/v1/specs", mustJSON(t, smallSpec("runner-hog")), "c")
-	deadline := time.Now().Add(5 * time.Second)
-	for !s.jobActive.Load() {
-		if time.Now().After(deadline) {
-			t.Fatal("runner never started")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitRunning("runner never started")
 	resp, data := post(t, ts.URL+"/v1/specs", mustJSON(t, smallSpec("queued-victim")), "c")
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit = %d: %s", resp.StatusCode, data)
